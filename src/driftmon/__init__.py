@@ -54,7 +54,7 @@ from .errors import (
     InputError,
     NumericError,
 )
-from .qt_ewma import QtEwmaDetector, new_detector, run_stream
+from .qt_ewma import QtEwmaDetector, run_stream
 from .quanttree import (
     QuantTreeHistogram,
     bin_counts,

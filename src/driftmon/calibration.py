@@ -8,15 +8,18 @@ scheme then sets (h_t, gamma_t) so that the conditional probability of
 firing under the randomized rule (S_t > h_t, or S_t == h_t with
 probability gamma_t) is a constant alpha at every step, including the
 first steps where the statistic takes only a handful of values.
+Calibration and replay share the peeling loop ``_peel`` over
+``qt_ewma.ewma_step`` and ``qt_ewma.fires``; the ECDD limit is
+calibrated on ``ecdd.ecdd_step``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ecdd import DEFAULT_PRIOR_WEIGHT
-from .engine import ecdd_required_limit, ewma_statistics
+from .ecdd import DEFAULT_PRIOR_WEIGHT, ecdd_step
 from .errors import CalibrationError, ConfigError
+from .qt_ewma import ewma_step, fires
 from .quanttree import _bin_allocation, build_quanttree, locate_bins, uniform_probs
 from .seeding import derive_seed, rng_from
 from .thresholds import ThresholdTable
@@ -24,6 +27,7 @@ from .thresholds import ThresholdTable
 DEFAULT_T_MAX = 500
 DEFAULT_REPLICATES = 100_000
 SURVIVOR_FLOOR = 1000
+ECDD_DRAW_BLOCK = 1 << 18  # uniforms per draw of the ECDD limit calibration
 
 
 def simulate_stationary_trajectory(train_size: int, n_bins: int, lam: float,
@@ -40,7 +44,8 @@ def simulate_stationary_trajectory(train_size: int, n_bins: int, lam: float,
     training = rng_from(derive_seed(seed, 0)).random((train_size, 1))
     hist = build_quanttree(training, uniform_probs(n_bins), derive_seed(seed, 1))
     stream = rng_from(derive_seed(seed, 2)).random((horizon, 1))
-    return ewma_statistics(locate_bins(hist, stream), hist.target_probs, lam)
+    z = uniform_probs(n_bins)
+    return np.array([ewma_step(z, b, lam) for b in locate_bins(hist, stream)])
 
 
 def _uniform_tree_batch(n_train: int, n_bins: int, n_rep: int,
@@ -83,13 +88,33 @@ def _draw_bins(edges: np.ndarray, perm: np.ndarray, u: np.ndarray) -> np.ndarray
     return perm[np.arange(len(u)), idx]
 
 
-def _fires(stat: np.ndarray, h_t: float, gamma_t: float,
-           rng: np.random.Generator) -> np.ndarray:
-    """Randomized threshold rule: S > h, or S == h with probability gamma."""
-    fire = stat > h_t
-    tied = np.flatnonzero(stat == h_t)
-    fire[tied] = rng.random(tied.size) < gamma_t
-    return fire
+def _peel(train_size: int, n_bins: int, replicates: int, tree_chunk: int, lam: float,
+          horizon: int, rng: np.random.Generator, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Build the replicates' histograms, ``tree_chunk`` at a time, then peel.
+
+    Each step streams fresh uniforms through the survivors, ``rule(t,
+    stat)`` gives (h_t, gamma_t), and those that fire are removed; tie
+    uniforms follow the step's sample draws. Returns (exceedances,
+    at_risk) per step.
+    """
+    trees = [_uniform_tree_batch(train_size, n_bins, min(tree_chunk, replicates - start), rng)
+             for start in range(0, replicates, tree_chunk)]
+    edges, perm = np.vstack([e for e, _ in trees]), np.vstack([p for _, p in trees])
+    del trees
+    z = np.full((replicates, n_bins), 1.0 / n_bins)
+    exceed = np.zeros(horizon, dtype=np.int64)
+    at_risk = np.zeros(horizon, dtype=np.int64)
+    for t in range(1, horizon + 1):
+        n_alive = edges.shape[0]
+        at_risk[t - 1] = n_alive
+        b = _draw_bins(edges, perm, rng.random(n_alive))
+        stat = ewma_step(z, (np.arange(n_alive), b), lam)
+        h_t, gamma_t = rule(t, stat)
+        fire = fires(stat, h_t, gamma_t, lambda tied: rng.random(tied.size))
+        exceed[t - 1] = int(fire.sum())
+        keep = ~fire
+        edges, perm, z = edges[keep], perm[keep], z[keep]
+    return exceed, at_risk
 
 
 def calibrate_thresholds(train_size: int, n_bins: int, lam: float, arl0_target: float,
@@ -125,40 +150,26 @@ def calibrate_thresholds(train_size: int, n_bins: int, lam: float, arl0_target: 
         raise ConfigError(f"train_size {train_size} < n_bins {n_bins}")
 
     alpha = 1.0 / arl0_target
-    rng = rng_from(seed)
-    edge_parts, perm_parts = [], []
-    for start in range(0, replicates, tree_chunk):
-        n = min(tree_chunk, replicates - start)
-        e, p = _uniform_tree_batch(train_size, n_bins, n, rng)
-        edge_parts.append(e)
-        perm_parts.append(p)
-    edges = np.vstack(edge_parts)
-    perm = np.vstack(perm_parts)
-
-    pi = 1.0 / n_bins
-    z = np.full((replicates, n_bins), pi)
     h = np.empty(t_max)
     gamma = np.empty(t_max)
-    for t in range(1, t_max + 1):
-        n_alive = edges.shape[0]
+
+    def quantile_rule(t: int, stat: np.ndarray) -> tuple[float, float]:
+        n_alive = stat.size
         if n_alive < survivor_floor:
             raise CalibrationError(
                 f"only {n_alive} surviving replicates at step {t}; "
                 f"increase replicates or reduce t_max"
             )
-        b = _draw_bins(edges, perm, rng.random(n_alive))
-        z *= 1.0 - lam
-        z[np.arange(n_alive), b] += lam
-        stat = ((z - pi) ** 2 / pi).sum(axis=1)
         rank = int(np.ceil((1.0 - alpha) * n_alive)) - 1
         h_t = float(np.partition(stat, rank)[rank])
         n_above = int((stat > h_t).sum())
         n_tied = int((stat == h_t).sum())
         gamma_t = min(max((alpha * n_alive - n_above) / n_tied, 0.0), 1.0)
         h[t - 1], gamma[t - 1] = h_t, gamma_t
-        keep = ~_fires(stat, h_t, gamma_t, rng)
-        edges, perm, z = edges[keep], perm[keep], z[keep]
+        return h_t, gamma_t
 
+    _peel(train_size, n_bins, replicates, tree_chunk, lam, t_max, rng_from(seed),
+          quantile_rule)
     return ThresholdTable(
         n_bins=n_bins,
         lam=float(lam),
@@ -183,28 +194,35 @@ def replay_exceedance(table: ThresholdTable, replicates: int, seed: int,
     exceedances/at_risk estimates the conditional exceedance probability,
     which calibration targets at alpha.
     """
+    if replicates < 1:
+        raise ConfigError(f"replicates must be >= 1, got {replicates}")
     horizon = table.t_max if horizon is None else horizon
-    rng = rng_from(seed)
-    edges, perm = _uniform_tree_batch(table.train_size, table.n_bins, replicates, rng)
-    pi = 1.0 / table.n_bins
-    z = np.full((replicates, table.n_bins), pi)
     h, gamma = table.head(horizon), table.gamma_head(horizon)
-    exceed = np.zeros(horizon, dtype=np.int64)
-    at_risk = np.zeros(horizon, dtype=np.int64)
+    return _peel(table.train_size, table.n_bins, replicates, replicates, table.lam, horizon,
+                 rng_from(seed), lambda t, stat: (h[t - 1], gamma[t - 1]))
+
+
+def _ecdd_run_max(errors: np.ndarray, p0: float, prior_weight: float,
+                  r: float) -> np.ndarray:
+    """Running max over steps of (u - p) / sigma per chart, in float32.
+
+    ``errors`` is (horizon, charts); a chart has fired by step t under
+    limit L when its entry at t exceeds L.
+    """
+    horizon, n_rows = errors.shape
+    run_max = np.empty((horizon, n_rows), dtype=np.float32)
+    u, err_sum = np.full(n_rows, p0), np.zeros(n_rows)
+    prev = np.full(n_rows, -np.inf, dtype=np.float32)
     for t in range(1, horizon + 1):
-        n_alive = edges.shape[0]
-        if n_alive == 0:
-            break
-        at_risk[t - 1] = n_alive
-        b = _draw_bins(edges, perm, rng.random(n_alive))
-        z *= 1.0 - table.lam
-        z[np.arange(n_alive), b] += table.lam
-        stat = ((z - pi) ** 2 / pi).sum(axis=1)
-        over = _fires(stat, h[t - 1], gamma[t - 1], rng)
-        exceed[t - 1] = int(over.sum())
-        keep = ~over
-        edges, perm, z = edges[keep], perm[keep], z[keep]
-    return exceed, at_risk
+        u, err_sum, p, sigma = ecdd_step(u, err_sum, errors[t - 1], t, p0, prior_weight, r)
+        ratio = np.where(sigma > 0.0, (u - p) / np.where(sigma > 0.0, sigma, 1.0), -np.inf)
+        prev = np.maximum(prev, ratio.astype(np.float32), out=run_max[t - 1])
+    return run_max
+
+
+def _detection_times(run_max: np.ndarray, limit: float) -> np.ndarray:
+    """First step each running max exceeds ``limit``; the horizon if none."""
+    return np.minimum((run_max <= limit).sum(axis=0) + 1, run_max.shape[0])
 
 
 def calibrate_ecdd_limit(p0: float, r: float, arl0_target: float,
@@ -227,16 +245,18 @@ def calibrate_ecdd_limit(p0: float, r: float, arl0_target: float,
         raise ConfigError(f"arl0_target must be >= 2, got {arl0_target}")
     horizon = int(20 * arl0_target) if horizon is None else int(horizon)
 
+    # uint8 errors, drawn in blocks: consecutive draws continue one stream
     rng = rng_from(seed)
-    errors = (rng.random((replicates, horizon)) < p0).astype(np.uint8)
-    ratio = ecdd_required_limit(errors, np.full(replicates, p0), prior_weight, r)
-    run_max = np.maximum.accumulate(ratio, axis=1)
+    errors = np.empty((horizon, replicates), dtype=np.uint8)
+    block = max(1, ECDD_DRAW_BLOCK // horizon)
+    for start in range(0, replicates, block):
+        rows = errors[:, start:start + block].T
+        np.less(rng.random(rows.shape), p0, out=rows)
+    run_max = _ecdd_run_max(errors, p0, prior_weight, r)
+    del errors
 
     def mean_detection_time(limit: float) -> float:
-        exceed = run_max > limit
-        hit = exceed.any(axis=1)
-        times = np.where(hit, exceed.argmax(axis=1) + 1, horizon)
-        return float(times.mean())
+        return float(_detection_times(run_max, limit).mean())
 
     lo, hi = 0.0, 4.0
     while mean_detection_time(hi) < arl0_target:

@@ -48,18 +48,19 @@ class CdmMonitor:
         """Route one labeled sample to its class detector.
 
         Returns the detection once it happens (idempotently afterwards),
-        None while monitoring continues.
+        None while monitoring continues. A rejected sample changes nothing.
         """
         if self.detection is not None:
             return self.detection
-        self.global_t += 1
         detector = self.detectors.get(int(y))
         if detector is None:
-            if self.lenient_labels:
-                self.skipped_unknown += 1
-                return None
-            raise InputError(f"unseen class label {y!r}")
-        _, detected = detector.update(x)
+            if not self.lenient_labels:
+                raise InputError(f"unseen class label {y!r}")
+            self.global_t += 1
+            self.skipped_unknown += 1
+            return None
+        _, detected = detector.update(x)  # locates the bin before any state moves
+        self.global_t += 1
         if detected:
             self.detection = Detection(t_star=self.global_t, m_star=int(y))
         return self.detection
@@ -88,9 +89,8 @@ def class_seed(seed: int, label: int) -> int:
     return int(seed) + int(label)
 
 
-def fit_class_histograms(train_x, train_y, n_bins: int, seed: int,
-                         target_probs=None) -> dict[int, "object"]:
-    """Build one histogram per class label 1..M from labeled training data."""
+def fit_class_histograms(train_x, train_y, n_bins: int, seed: int) -> dict[int, "object"]:
+    """Build one uniform-target histogram per class label 1..M."""
     x = np.asarray(train_x, dtype=float)
     y = np.asarray(train_y)
     if not np.issubdtype(y.dtype, np.integer):
@@ -100,7 +100,6 @@ def fit_class_histograms(train_x, train_y, n_bins: int, seed: int,
     if y.min(initial=1) < 1:
         raise InputError("class labels must be in 1..M")
     n_classes = int(y.max())
-    pi = uniform_probs(n_bins) if target_probs is None else target_probs
     histograms = {}
     for m in range(1, n_classes + 1):
         subset = x[y == m]
@@ -108,19 +107,18 @@ def fit_class_histograms(train_x, train_y, n_bins: int, seed: int,
             raise ConfigError(
                 f"class {m} has {len(subset)} training samples, needs >= {n_bins}"
             )
-        histograms[m] = build_quanttree(subset, pi, class_seed(seed, m))
+        histograms[m] = build_quanttree(subset, uniform_probs(n_bins), class_seed(seed, m))
     return histograms
 
 
 def fit_cdm(train_x, train_y, thresholds: ThresholdTable, n_bins: int = 16,
-            lam: float = 0.03, seed: int = 0, lenient_labels: bool = False,
-            target_probs=None) -> CdmMonitor:
+            lam: float = 0.03, seed: int = 0, lenient_labels: bool = False) -> CdmMonitor:
     """Split the training set by class and build the per-class detectors.
 
     All classes share ``thresholds``, so the table must match the
     per-class training size and bin count.
     """
-    histograms = fit_class_histograms(train_x, train_y, n_bins, seed, target_probs)
+    histograms = fit_class_histograms(train_x, train_y, n_bins, seed)
     detectors = {
         m: QtEwmaDetector(hist, lam, thresholds) for m, hist in histograms.items()
     }

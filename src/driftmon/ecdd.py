@@ -4,11 +4,12 @@ The chart tracks the exponentially weighted error rate of a classifier
 that is never updated during monitoring, and fires when it exceeds the
 running error-rate estimate by L estimated standard deviations. The
 rule is one-sided: only error-increasing drifts can be detected.
+``ecdd_step`` is the one chart recursion, which ``engine`` and
+``calibration`` share.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -53,6 +54,19 @@ def ecdd_init(p0_estimate: float, r: float, limit: float,
                      prior_weight=float(prior_weight), u=float(p0_estimate))
 
 
+def ecdd_step(u, err_sum, error, t: int, p0, prior_weight: float, r: float):
+    """Fold the t-th 0/1 error into one chart or an array of charts.
+
+    Returns (u, err_sum, p, sigma): the error EWMA, the error count, the
+    running rate with p0 worth ``prior_weight`` errors, and u's std dev.
+    """
+    u = (1.0 - r) * u + r * error
+    err_sum = err_sum + error
+    p = (prior_weight * p0 + err_sum) / (prior_weight + t)
+    sigma = np.sqrt(p * (1.0 - p) * (r / (2.0 - r)) * (1.0 - (1.0 - r) ** (2 * t)))
+    return u, err_sum, p, sigma
+
+
 def ecdd_update(state: EcddState, error: int) -> tuple[float, bool]:
     """Fold one 0/1 classification error into the chart."""
     if error not in (0, 1):
@@ -60,13 +74,9 @@ def ecdd_update(state: EcddState, error: int) -> tuple[float, bool]:
     if state.detected:
         return state.u, True
     state.n_seen += 1
-    state.u = (1.0 - state.r) * state.u + state.r * error
-    state.err_sum += error
     t = state.n_seen
-    p = (state.prior_weight * state.p0 + state.err_sum) / (state.prior_weight + t)
-    sigma = math.sqrt(
-        p * (1.0 - p) * state.r / (2.0 - state.r) * (1.0 - (1.0 - state.r) ** (2 * t))
-    )
+    state.u, state.err_sum, p, sigma = ecdd_step(state.u, state.err_sum, error, t,
+                                                 state.p0, state.prior_weight, state.r)
     if state.u > p + state.limit * sigma:
         state.detected = True
         state.detection_time = t

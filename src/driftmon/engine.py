@@ -4,14 +4,17 @@ Replicates are prepared one at a time from their own derived seeds (so
 results match a strictly sequential run), then the time recursions are
 stepped in lockstep across all replicates with numpy. Rows that detect
 or run out of samples are dropped from the active set as the loop
-advances.
+advances, on the shared kernels ``qt_ewma.ewma_step``, ``qt_ewma.fires``
+and ``ecdd.ecdd_step``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .ecdd import ecdd_step
 from .errors import ConfigError
+from .qt_ewma import ewma_step, fires
 from .seeding import tie_uniform
 from .thresholds import ThresholdTable
 
@@ -33,10 +36,8 @@ def batch_first_exceed(bins: np.ndarray, lengths: np.ndarray, table: ThresholdTa
     seeds = [int(s) for s in seeds]
     if len(seeds) != n_rows:
         raise ConfigError(f"got {len(seeds)} seeds for {n_rows} rows")
-    n_bins, lam = table.n_bins, table.lam
     thresholds, gamma = table.head(t_pad), table.gamma_head(t_pad)
-    pi = 1.0 / n_bins
-    z = np.full((n_rows, n_bins), pi)
+    z = np.full((n_rows, table.n_bins), 1.0 / table.n_bins)
     out = np.zeros(n_rows, dtype=np.int64)
     active = np.arange(n_rows)
     for t in range(1, t_pad + 1):
@@ -46,60 +47,14 @@ def batch_first_exceed(bins: np.ndarray, lengths: np.ndarray, table: ThresholdTa
             z = z[has_sample]
         if active.size == 0:
             break
-        b = bins[active, t - 1]
-        z *= 1.0 - lam
-        z[np.arange(active.size), b] += lam
-        stat = ((z - pi) ** 2 / pi).sum(axis=1)
-        det = stat > thresholds[t - 1]
-        if gamma[t - 1] > 0.0:
-            for i in np.flatnonzero(stat == thresholds[t - 1]):
-                det[i] = tie_uniform(seeds[active[i]], t) < gamma[t - 1]
+        stat = ewma_step(z, (np.arange(active.size), bins[active, t - 1]), table.lam)
+        det = fires(stat, thresholds[t - 1], gamma[t - 1],
+                    lambda tied: np.array([tie_uniform(seeds[active[i]], t) for i in tied]))
         if det.any():
             out[active[det]] = t
             keep = ~det
             active = active[keep]
             z = z[keep]
-    return out
-
-
-def ewma_statistics(bins: np.ndarray, target_probs: np.ndarray, lam: float) -> np.ndarray:
-    """Full statistic trajectory for a single bin-index sequence."""
-    pi = np.asarray(target_probs, dtype=float)
-    z = pi.copy()
-    out = np.empty(len(bins))
-    for t, b in enumerate(bins):
-        z *= 1.0 - lam
-        z[b] += lam
-        out[t] = ((z - pi) ** 2 / pi).sum()
-    return out
-
-
-def ecdd_required_limit(errors: np.ndarray, p0: np.ndarray, prior_weight: float,
-                        r: float) -> np.ndarray:
-    """Per-step control limit that would be needed to fire, (U_t - p_t)/sigma_t.
-
-    ``errors``: (n_rows, horizon) 0/1 matrix; ``p0``: per-row initial error
-    estimates. The running error-rate estimate treats p0 as carrying
-    ``prior_weight`` pseudo-observations. Returned as float32 to keep the
-    matrix small; the detection rule only thresholds it.
-    """
-    n_rows, horizon = errors.shape
-    p0 = np.broadcast_to(np.asarray(p0, dtype=float), (n_rows,))
-    u = p0.copy()
-    err_sum = np.zeros(n_rows)
-    scale = r / (2.0 - r)
-    out = np.empty((n_rows, horizon), dtype=np.float32)
-    decay = 1.0 - r
-    for t in range(1, horizon + 1):
-        e = errors[:, t - 1]
-        u = decay * u + r * e
-        err_sum += e
-        p = (prior_weight * p0 + err_sum) / (prior_weight + t)
-        var = p * (1.0 - p) * scale * (1.0 - decay ** (2 * t))
-        sigma = np.sqrt(var)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(sigma > 0.0, (u - p) / np.where(sigma > 0.0, sigma, 1.0), -np.inf)
-        out[:, t - 1] = ratio
     return out
 
 
@@ -115,28 +70,14 @@ def ecdd_first_exceed(errors: np.ndarray, p0: np.ndarray, prior_weight: float,
     err_sum = np.zeros(n_rows)
     out = np.zeros(n_rows, dtype=np.int64)
     active = np.arange(n_rows)
-    scale = r / (2.0 - r)
-    decay = 1.0 - r
     for t in range(1, horizon + 1):
         if active.size == 0:
             break
-        e = errors[active, t - 1]
-        u = decay * u + r * e
-        err_sum += e
-        p = (prior_weight * p0 + err_sum) / (prior_weight + t)
-        sigma = np.sqrt(p * (1.0 - p) * scale * (1.0 - decay ** (2 * t)))
+        u, err_sum, p, sigma = ecdd_step(u, err_sum, errors[active, t - 1], t, p0,
+                                         prior_weight, r)
         det = u > p + limit * sigma
         if det.any():
             out[active[det]] = t
             keep = ~det
             active, u, err_sum, p0 = active[keep], u[keep], err_sum[keep], p0[keep]
-    return out
-
-
-def first_exceed_times(values: np.ndarray, limit: float) -> np.ndarray:
-    """Per-row first 1-based column where values > limit, 0 if never."""
-    exceed = values > limit
-    hit = exceed.any(axis=1)
-    out = exceed.argmax(axis=1) + 1
-    out[~hit] = 0
     return out

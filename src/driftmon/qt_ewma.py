@@ -2,9 +2,10 @@
 
 The detector keeps one exponentially weighted frequency Z_k per bin,
 updates them as each sample arrives, and compares the Pearson-like
-divergence of Z from the target bin probabilities against a calibrated,
-time-varying threshold, randomized at the threshold itself (see
-``thresholds``).
+divergence of Z from the uniform target bin probabilities against a
+calibrated, time-varying threshold, randomized at the threshold itself
+(see ``thresholds``). The recursion ``ewma_step`` and the rule ``fires``
+are the one copy that the detector, ``engine`` and ``calibration`` run.
 """
 
 from __future__ import annotations
@@ -15,11 +16,35 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .quanttree import QuantTreeHistogram, locate_bin
+from .quanttree import QuantTreeHistogram, locate_bin, uniform_probs
 from .seeding import tie_uniform
 from .thresholds import ThresholdTable
 
 DEFAULT_LAMBDA = 0.03
+
+
+def ewma_step(z: np.ndarray, index, lam: float):
+    """Z <- (1 - lam) Z + lam e_b in place; return S = sum_k (Z_k - 1/K)^2 K.
+
+    ``z``: 1-D with ``index`` a bin, or one row per detector with
+    ``index`` a (rows, bins) pair of arrays, giving one S per row.
+    """
+    z *= 1.0 - lam
+    z[index] += lam
+    pi = 1.0 / z.shape[-1]
+    return ((z - pi) ** 2 / pi).sum(axis=-1)
+
+
+def fires(stat: np.ndarray, h: float, gamma: float, tie_uniforms) -> np.ndarray:
+    """Randomized rule: stat[i] > h, or stat[i] == h and U_i < gamma.
+
+    ``tie_uniforms(tied)`` returns the U_i of the tied indices, if any.
+    """
+    fire = stat > h
+    tied = np.flatnonzero(stat == h)
+    if tied.size:
+        fire[tied] = tie_uniforms(tied) < gamma
+    return fire
 
 
 class QtEwmaDetector:
@@ -50,10 +75,12 @@ class QtEwmaDetector:
                 f"threshold table train_size={thresholds.train_size} does not match "
                 f"histogram train_size={hist.train_size}"
             )
+        if not np.array_equal(hist.target_probs, uniform_probs(hist.n_bins)):
+            raise ConfigError("histogram target_probs must be uniform, as calibration assumes")
         self.hist = hist
         self.lam = float(lam)
         self.thresholds = thresholds
-        self.z = hist.target_probs.copy()
+        self.z = uniform_probs(hist.n_bins)
         self.t = 0
         self.last_statistic = 0.0
         self.detected = False
@@ -64,16 +91,15 @@ class QtEwmaDetector:
         if self.detected:
             return self.last_statistic, True
         self.t += 1
-        self.z *= 1.0 - self.lam
-        self.z[bin_index] += self.lam
-        pi = self.hist.target_probs
-        stat = float(((self.z - pi) ** 2 / pi).sum())
+        t = self.t
+        stat = float(ewma_step(self.z, bin_index, self.lam))
         self.last_statistic = stat
-        h, gamma = self.thresholds.at(self.t), self.thresholds.gamma_at(self.t)
-        tie_fires = stat == h and tie_uniform(self.hist.seed, self.t) < gamma
-        if stat > h or tie_fires:
+        h = self.thresholds.at(t)
+        # only S_t >= h_t can fire; the shared rule decides those steps
+        if stat >= h and fires(np.array([stat]), h, self.thresholds.gamma_at(t),
+                               lambda tied: tie_uniform(self.hist.seed, t))[0]:
             self.detected = True
-            self.detection_time = self.t
+            self.detection_time = t
         return stat, self.detected
 
     def update(self, x) -> tuple[float, bool]:
@@ -81,10 +107,6 @@ class QtEwmaDetector:
         if self.detected:
             return self.last_statistic, True
         return self.update_from_bin(locate_bin(self.hist, x))
-
-
-def new_detector(hist: QuantTreeHistogram, lam: float, thresholds: ThresholdTable) -> QtEwmaDetector:
-    return QtEwmaDetector(hist, lam, thresholds)
 
 
 def run_stream(detector: QtEwmaDetector, data, trace_path=None) -> Optional[int]:

@@ -22,11 +22,11 @@ from conftest import exceedance_z_scores, family_wise_bound, record_criterion
 from driftmon import (
     GaussianMixtureConfig,
     LabeledStream,
+    QtEwmaDetector,
     build_quanttree,
     calibrate_ecdd_limit,
     calibrate_thresholds,
     fit_cdm,
-    new_detector,
     replay_exceedance,
     save_table,
     two_gaussian_config,
@@ -155,7 +155,7 @@ def test_criterion_05_single_class_reduction(small_table):
         monitor = fit_cdm(train, np.ones(64, dtype=int), small_table,
                           n_bins=16, lam=0.03, seed=trial)
         hist = build_quanttree(train, uniform_probs(16), class_seed(trial, 1))
-        solo = new_detector(hist, 0.03, small_table)
+        solo = QtEwmaDetector(hist, 0.03, small_table)
         stream = rng.standard_normal((400, 2))
         identical = True
         for t in range(400):

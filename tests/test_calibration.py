@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import exceedance_z_scores, family_wise_bound
@@ -134,6 +136,21 @@ def test_ecdd_limit_self_validates():
     det = ecdd_first_exceed(errors, np.full(4000, 0.1), 100.0, 0.2, limit)
     times = np.where(det > 0, det, 2000)
     assert abs(times.mean() - target) / target < 0.05
+
+
+def test_ecdd_limit_memory_is_bounded_by_the_run_max():
+    # the float32 running maximum (replicates x horizon x 4 bytes) is the
+    # one large array; no float64 draw matrix or second copy sits beside it
+    replicates, horizon = 2000, 1000
+    run_max_bytes = replicates * horizon * 4
+    tracemalloc.start()
+    try:
+        calibrate_ecdd_limit(0.1, 0.2, 50.0, replicates=replicates, seed=2,
+                             horizon=horizon)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * run_max_bytes
 
 
 def test_ecdd_limit_parameter_errors():

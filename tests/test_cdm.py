@@ -10,7 +10,6 @@ from driftmon import (
     bin_counts,
     build_quanttree,
     fit_cdm,
-    new_detector,
     run_labeled_stream,
     uniform_probs,
 )
@@ -62,7 +61,7 @@ def test_m1_reduction_is_bit_identical(small_table):
         monitor = fit_cdm(train, np.ones(64, dtype=int), small_table, n_bins=16,
                           lam=0.03, seed=trial)
         hist = build_quanttree(train, uniform_probs(16), class_seed(trial, 1))
-        solo = new_detector(hist, 0.03, small_table)
+        solo = QtEwmaDetector(hist, 0.03, small_table)
         stream = rng.standard_normal((600, 2))
         for t in range(600):
             detection = monitor.process(stream[t], 1)
@@ -124,6 +123,23 @@ def test_unseen_label_strict_and_lenient(small_table):
     assert lenient.process(np.zeros(2), 7) is None
     assert lenient.skipped_unknown == 1
     assert lenient.global_t == 1
+
+
+def test_rejected_samples_leave_monitor_unchanged(small_table):
+    # a NaN sample, a wrong-dimension sample and an unseen label under the
+    # strict rule are all rejected before global time or any detector moves
+    x, y = make_training()
+    monitor = fit_cdm(x, y, small_table, n_bins=16, seed=11)
+    assert monitor.process(x[0], 1) is None
+    z_before = {m: det.z.copy() for m, det in monitor.detectors.items()}
+    for sample, label in [(np.array([np.nan, 0.0]), 1), (np.zeros(3), 2), (x[0], 7)]:
+        with pytest.raises(InputError):
+            monitor.process(sample, label)
+    assert monitor.global_t == 1
+    assert monitor.class_counts() == {1: 1, 2: 0}
+    for m, det in monitor.detectors.items():
+        assert np.array_equal(det.z, z_before[m])
+    assert monitor.detection is None and monitor.skipped_unknown == 0
 
 
 def test_unlabeled_samples_only_advance_global_time(small_table):

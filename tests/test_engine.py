@@ -1,28 +1,20 @@
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
-from driftmon import ThresholdTable, build_quanttree, new_detector, uniform_probs
+from driftmon import QtEwmaDetector, ThresholdTable, build_quanttree, uniform_probs
+from driftmon.calibration import _detection_times, _ecdd_run_max
 from driftmon.ecdd import ecdd_init, ecdd_update
-from driftmon.engine import (
-    batch_first_exceed,
-    ecdd_first_exceed,
-    ecdd_required_limit,
-    ewma_statistics,
-    first_exceed_times,
-)
+from driftmon.engine import batch_first_exceed, ecdd_first_exceed
+from driftmon.qt_ewma import ewma_step
 from driftmon.seeding import rng_from
 
 
-def test_first_exceed_times_basics():
-    values = np.array([[0.1, 0.5, 0.9], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    assert first_exceed_times(values, 0.8).tolist() == [3, 0, 1]
-
-
-def test_ewma_statistics_matches_detector(small_table):
+def test_ewma_step_rows_match_detector(small_table):
+    # the 2-D kernel call of the batch engine and calibration reproduces,
+    # row by row, the statistics of the 1-D call an online detector makes
     hist = build_quanttree(rng_from(1).standard_normal((64, 2)), uniform_probs(16), seed=2)
-    det = new_detector(hist, 0.03, small_table)
+    det = QtEwmaDetector(hist, 0.03, small_table)
     seq = rng_from(3).integers(16, size=150)
     expected = []
     for b in seq:
@@ -30,8 +22,12 @@ def test_ewma_statistics_matches_detector(small_table):
         expected.append(stat)
         if det.detected:
             break
-    traj = ewma_statistics(seq[: len(expected)], hist.target_probs, 0.03)
-    assert np.array_equal(traj, np.array(expected))  # bit-identical
+    z = np.full((3, 16), 1 / 16)
+    rows = np.arange(3)
+    traj = np.array([ewma_step(z, (rows, np.full(3, b)), 0.03)
+                     for b in seq[: len(expected)]])
+    for i in range(3):
+        assert np.array_equal(traj[:, i], np.array(expected))  # bit-identical
 
 
 def test_batch_first_exceed_matches_sequential(small_table):
@@ -50,7 +46,7 @@ def test_batch_first_exceed_matches_sequential(small_table):
     for table in (small_table, tie_heavy):
         batch = batch_first_exceed(bins, lengths, table, [h.seed for h in hists])
         for i in range(n_rows):
-            det = new_detector(hists[i], 0.03, table)
+            det = QtEwmaDetector(hists[i], 0.03, table)
             found = 0
             for t in range(1, int(lengths[i]) + 1):
                 _, detected = det.update_from_bin(int(bins[i, t - 1]))
@@ -94,35 +90,40 @@ def test_ecdd_first_exceed_matches_sequential():
         assert batch[i] == found
 
 
-def test_ecdd_required_limit_consistent_with_first_exceed():
+def test_ecdd_limit_calibration_first_exceed_matches_batch():
+    # the calibration's running maximum of the required limit gives the
+    # same first-exceed times as the chart itself (horizon = never fired)
     rng = rng_from(8)
     errors = (rng.random((30, 400)) < 0.15).astype(np.uint8)
-    p0 = np.full(30, 0.15)
-    ratio = ecdd_required_limit(errors, p0, 100.0, 0.2)
-    run_max = np.maximum.accumulate(ratio, axis=1)
-    via_ratio = first_exceed_times(run_max, 2.5)
-    direct = ecdd_first_exceed(errors, p0, 100.0, 0.2, 2.5)
-    assert np.array_equal(via_ratio, direct)
+    run_max = _ecdd_run_max(np.ascontiguousarray(errors.T), 0.15, 100.0, 0.2)
+    via_run_max = _detection_times(run_max, 2.5)
+    direct = ecdd_first_exceed(errors, np.full(30, 0.15), 100.0, 0.2, 2.5)
+    assert np.array_equal(via_run_max, np.where(direct > 0, direct, 400))
+    assert 0 < int((direct > 0).sum()) < 30  # both outcomes occur
 
 
-def test_ecdd_required_limit_shape_and_monotone_tail():
-    errors = np.ones((2, 10), dtype=np.uint8)
-    ratio = ecdd_required_limit(errors, np.array([0.3, 0.3]), 50.0, 0.2)
-    assert ratio.shape == (2, 10)
-    assert ratio.dtype == np.float32
+def test_ecdd_run_max_shape_and_monotone_tail():
+    errors = np.ones((10, 2), dtype=np.uint8)
+    run_max = _ecdd_run_max(errors, 0.3, 50.0, 0.2)
+    assert run_max.shape == (10, 2)
+    assert run_max.dtype == np.float32
     # all-error streams push the chart statistic monotonically upward
-    assert ratio[0, -1] > ratio[0, 0]
+    assert run_max[-1, 0] > run_max[0, 0]
+    assert np.all(np.diff(run_max, axis=0) >= 0)
 
 
 def test_batch_first_exceed_statistic_order_of_operations(small_table):
-    # one row, known sequence: the crossing step must match the scalar
-    # recursion exactly, guarding against reordered float operations
-    # (strict rule: a gamma = 0 table, so only the statistic decides)
+    # one row, known sequence: the crossing step must match the 1-D
+    # kernel call of the online detector exactly, guarding against
+    # reordered float operations (strict rule: a gamma = 0 table, so only
+    # the statistic decides)
     seq = rng_from(9).integers(16, size=300).astype(np.int16)
     strict = replace(small_table, gamma=np.zeros(small_table.t_max))
     thresholds = strict.head(300)
     batch = batch_first_exceed(seq[None, :], np.array([300]), strict, [0])
-    traj = ewma_statistics(seq, uniform_probs(16), 0.03)
+    z = uniform_probs(16)
+    traj = np.array([ewma_step(z, int(b), 0.03) for b in seq])
     crossings = np.flatnonzero(traj > thresholds)
     expected = int(crossings[0] + 1) if crossings.size else 0
+    assert expected > 0
     assert batch[0] == expected

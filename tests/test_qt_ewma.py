@@ -9,7 +9,6 @@ from driftmon import (
     QtEwmaDetector,
     ThresholdTable,
     build_quanttree,
-    new_detector,
     run_stream,
     uniform_probs,
 )
@@ -23,7 +22,7 @@ def hist():
 
 
 def test_initial_state(hist, small_table):
-    det = new_detector(hist, 0.03, small_table)
+    det = QtEwmaDetector(hist, 0.03, small_table)
     assert np.allclose(det.z, 1 / 16)
     assert det.t == 0
     assert det.last_statistic == 0.0
@@ -51,19 +50,28 @@ def test_constructor_validation(hist, small_table):
         QtEwmaDetector(hist, 0.03, bad_train)
 
 
+def test_non_uniform_histogram_is_rejected(small_table):
+    # the shared recursion and the calibrated tables assume pi = 1/K
+    pi = np.full(16, 0.5 / 15)
+    pi[0] = 0.5
+    skewed = build_quanttree(rng_from(1).standard_normal((64, 2)), pi, seed=2)
+    with pytest.raises(ConfigError, match="uniform"):
+        QtEwmaDetector(skewed, 0.03, small_table)
+
+
 def test_first_statistic_is_bin_independent(hist, small_table):
     # T_1 = lam^2 (1-pi)/pi for every possible first bin, and it equals
     # the calibrated h_1 bit for bit: the tie rule at the threshold relies
     # on the detector and calibration computing the statistic identically
     for k in range(16):
-        det = new_detector(hist, 0.03, small_table)
+        det = QtEwmaDetector(hist, 0.03, small_table)
         stat, _ = det.update_from_bin(k)
         assert stat == pytest.approx(0.0135, abs=1e-12)
         assert stat == small_table.thresholds[0]
 
 
 def test_z_conservation(hist, small_table):
-    det = new_detector(hist, 0.03, small_table)
+    det = QtEwmaDetector(hist, 0.03, small_table)
     rng = rng_from(3)
     for _ in range(500):
         det.update_from_bin(int(rng.integers(16)))
@@ -78,8 +86,8 @@ def test_statistic_depends_only_on_bin_sequence(small_table):
     # fired: the histogram seeds differ, and so do their tie draws)
     h1 = build_quanttree(rng_from(4).standard_normal((64, 2)), uniform_probs(16), seed=5)
     h2 = build_quanttree(rng_from(6).random((64, 5)) * 100, uniform_probs(16), seed=7)
-    d1 = new_detector(h1, 0.03, small_table)
-    d2 = new_detector(h2, 0.03, small_table)
+    d1 = QtEwmaDetector(h1, 0.03, small_table)
+    d2 = QtEwmaDetector(h2, 0.03, small_table)
     seq = rng_from(8).integers(16, size=200)
     for b in seq:
         s1, fired1 = d1.update_from_bin(int(b))
@@ -90,7 +98,7 @@ def test_statistic_depends_only_on_bin_sequence(small_table):
 
 
 def test_single_bin_stream_detects(hist, small_table):
-    det = new_detector(hist, 0.03, small_table)
+    det = QtEwmaDetector(hist, 0.03, small_table)
     stats = []
     for _ in range(300):
         stat, detected = det.update_from_bin(0)
@@ -103,7 +111,7 @@ def test_single_bin_stream_detects(hist, small_table):
 
 
 def test_detector_freezes_after_detection(hist, small_table):
-    det = new_detector(hist, 0.03, small_table)
+    det = QtEwmaDetector(hist, 0.03, small_table)
     while not det.detected:
         det.update_from_bin(0)
     t_at_detection = det.t
@@ -116,7 +124,7 @@ def test_detector_freezes_after_detection(hist, small_table):
 
 
 def test_run_stream_with_trace(hist, small_table, tmp_path):
-    det = new_detector(hist, 0.03, small_table)
+    det = QtEwmaDetector(hist, 0.03, small_table)
     data = rng_from(9).standard_normal((400, 2)) + 40.0  # far off the training mass
     trace = tmp_path / "trace.csv"
     t_star = run_stream(det, data, trace_path=trace)
@@ -133,7 +141,7 @@ def test_run_stream_without_detection(hist, small_table):
     # with no tie randomization a single sample sits exactly on h_1 and
     # cannot fire, so the stream ends first
     strict = replace(small_table, gamma=np.zeros(small_table.t_max))
-    det = new_detector(hist, 0.03, strict)
+    det = QtEwmaDetector(hist, 0.03, strict)
     assert run_stream(det, rng_from(10).standard_normal((1, 2))) is None
     assert det.t == 1
 
@@ -145,7 +153,7 @@ def test_empirical_arl0_small_target(small_table):
     for i in range(400):
         rng = rng_from(1000 + i)
         hist = build_quanttree(rng.random((64, 1)), uniform_probs(16), seed=2000 + i)
-        det = new_detector(hist, 0.03, small_table)
+        det = QtEwmaDetector(hist, 0.03, small_table)
         detected = False
         for t in range(1, 1200):
             _, detected = det.update(rng.random(1))
