@@ -9,7 +9,6 @@ from .bench import (
     CdmMethod,
     EcddMethod,
     ExperimentReport,
-    average_ranks,
     estimate_arl0,
     estimate_delay,
     estimate_error_rate,
@@ -20,11 +19,9 @@ from .calibration import (
     calibrate_ecdd_limit,
     calibrate_thresholds,
     replay_exceedance,
-    simulate_stationary_trajectory,
 )
 from .cdm import CdmMonitor, Detection, fit_cdm, run_labeled_stream
 from .datastreams import (
-    CsvSchema,
     GaussianMixtureConfig,
     LabeledStream,
     generate_stream,
@@ -33,10 +30,6 @@ from .datastreams import (
     sample_mixture,
     sample_training,
     skl_gaussian,
-    splice_streams,
-    subsample_without_replacement,
-    two_gaussian_config,
-    write_csv_stream,
 )
 from .ecdd import (
     EcddState,
@@ -57,14 +50,9 @@ from .errors import (
 from .qt_ewma import QtEwmaDetector, run_stream
 from .quanttree import (
     QuantTreeHistogram,
-    bin_counts,
     build_quanttree,
-    expected_allocation,
-    load_histogram,
     locate_bin,
     locate_bins,
-    save_histogram,
-    uniform_probs,
 )
 from .thresholds import ThresholdTable, load_table, save_table
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -398,34 +398,3 @@ def run_grid_experiment(cfg_base: GaussianMixtureConfig, methods: dict,
                 "failed": "",
             })
     return rows
-
-
-def average_ranks(delays: dict[str, "list[float]"]) -> dict[str, float]:
-    """Average per-scenario rank of each method (1 = fastest, ties share)."""
-    methods = list(delays)
-    if not methods:
-        raise ConfigError("no methods to rank")
-    n_scenarios = len(delays[methods[0]])
-    table = np.empty((len(methods), n_scenarios))
-    for i, m in enumerate(methods):
-        vals = np.asarray(delays[m], dtype=float)
-        if vals.shape != (n_scenarios,) or not np.all(np.isfinite(vals)):
-            raise ConfigError(f"method {m!r} is missing delays for some scenarios")
-        table[i] = vals
-    rank_sum = np.zeros(len(methods))
-    for s in range(n_scenarios):
-        rank_sum += _tied_ranks(table[:, s])
-    return {m: float(rank_sum[i] / n_scenarios) for i, m in enumerate(methods)}
-
-
-def _tied_ranks(vals: np.ndarray) -> np.ndarray:
-    order = np.argsort(vals, kind="stable")
-    ranks = np.empty(len(vals))
-    i = 0
-    while i < len(vals):
-        j = i
-        while j < len(vals) and vals[order[j]] == vals[order[i]]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0
-        i = j
-    return ranks

@@ -20,32 +20,15 @@ import numpy as np
 from .ecdd import DEFAULT_PRIOR_WEIGHT, ecdd_step
 from .errors import CalibrationError, ConfigError
 from .qt_ewma import ewma_step, fires
-from .quanttree import _bin_allocation, build_quanttree, locate_bins, uniform_probs
-from .seeding import derive_seed, rng_from
+from .quanttree import _bin_allocation, uniform_probs
+from .seeding import rng_from
 from .thresholds import ThresholdTable
 
 DEFAULT_T_MAX = 500
 DEFAULT_REPLICATES = 100_000
-SURVIVOR_FLOOR = 1000
+SURVIVOR_FLOOR = 1000  # fewest replicates a quantile step may rest on
+TREE_CHUNK = 20_000  # histograms built per vectorized batch
 ECDD_DRAW_BLOCK = 1 << 18  # uniforms per draw of the ECDD limit calibration
-
-
-def simulate_stationary_trajectory(train_size: int, n_bins: int, lam: float,
-                                   horizon: int, seed: int) -> np.ndarray:
-    """Statistic trajectory T_1..T_horizon on a fresh stationary stream.
-
-    Builds a histogram on 1-D uniform training data and streams uniform
-    samples through the recursion with no thresholds applied.
-    """
-    if train_size < n_bins:
-        raise ConfigError(f"train_size {train_size} < n_bins {n_bins}")
-    if horizon < 1:
-        raise ConfigError("horizon must be >= 1")
-    training = rng_from(derive_seed(seed, 0)).random((train_size, 1))
-    hist = build_quanttree(training, uniform_probs(n_bins), derive_seed(seed, 1))
-    stream = rng_from(derive_seed(seed, 2)).random((horizon, 1))
-    z = uniform_probs(n_bins)
-    return np.array([ewma_step(z, b, lam) for b in locate_bins(hist, stream)])
 
 
 def _uniform_tree_batch(n_train: int, n_bins: int, n_rep: int,
@@ -120,9 +103,7 @@ def _peel(train_size: int, n_bins: int, replicates: int, tree_chunk: int, lam: f
 def calibrate_thresholds(train_size: int, n_bins: int, lam: float, arl0_target: float,
                          t_max: int = DEFAULT_T_MAX,
                          replicates: int = DEFAULT_REPLICATES,
-                         seed: int = 0,
-                         survivor_floor: int = SURVIVOR_FLOOR,
-                         tree_chunk: int = 20_000) -> ThresholdTable:
+                         seed: int = 0) -> ThresholdTable:
     """Peeling quantile calibration of the threshold sequence h_1..h_t_max.
 
     At each step the empirical (1 - alpha) nearest-rank quantile of the
@@ -155,7 +136,7 @@ def calibrate_thresholds(train_size: int, n_bins: int, lam: float, arl0_target: 
 
     def quantile_rule(t: int, stat: np.ndarray) -> tuple[float, float]:
         n_alive = stat.size
-        if n_alive < survivor_floor:
+        if n_alive < SURVIVOR_FLOOR:
             raise CalibrationError(
                 f"only {n_alive} surviving replicates at step {t}; "
                 f"increase replicates or reduce t_max"
@@ -168,7 +149,7 @@ def calibrate_thresholds(train_size: int, n_bins: int, lam: float, arl0_target: 
         h[t - 1], gamma[t - 1] = h_t, gamma_t
         return h_t, gamma_t
 
-    _peel(train_size, n_bins, replicates, tree_chunk, lam, t_max, rng_from(seed),
+    _peel(train_size, n_bins, replicates, TREE_CHUNK, lam, t_max, rng_from(seed),
           quantile_rule)
     return ThresholdTable(
         n_bins=n_bins,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .qt_ewma import QtEwmaDetector
-from .quanttree import build_quanttree, uniform_probs
+from .quanttree import build_quanttree
 from .thresholds import ThresholdTable
 
 
@@ -90,7 +90,7 @@ def class_seed(seed: int, label: int) -> int:
 
 
 def fit_class_histograms(train_x, train_y, n_bins: int, seed: int) -> dict[int, "object"]:
-    """Build one uniform-target histogram per class label 1..M."""
+    """Build one K-bin histogram per class label 1..M."""
     x = np.asarray(train_x, dtype=float)
     y = np.asarray(train_y)
     if not np.issubdtype(y.dtype, np.integer):
@@ -107,7 +107,7 @@ def fit_class_histograms(train_x, train_y, n_bins: int, seed: int) -> dict[int, 
             raise ConfigError(
                 f"class {m} has {len(subset)} training samples, needs >= {n_bins}"
             )
-        histograms[m] = build_quanttree(subset, uniform_probs(n_bins), class_seed(seed, m))
+        histograms[m] = build_quanttree(subset, n_bins, class_seed(seed, m))
     return histograms
 
 

@@ -17,12 +17,7 @@ import numpy as np
 from . import bench
 from .calibration import calibrate_ecdd_limit, calibrate_thresholds
 from .cdm import fit_cdm, run_labeled_stream
-from .datastreams import (
-    CsvSchema,
-    GaussianMixtureConfig,
-    iter_csv_stream,
-    read_csv_stream,
-)
+from .datastreams import GaussianMixtureConfig, iter_csv_stream, read_csv_stream
 from .ecdd import cross_val_error, ecdd_init, ecdd_monitor_stream, fit_classifier
 from .errors import CalibrationError, ConfigError, DriftmonError, FormatError, InputError
 from .thresholds import load_table, save_table
@@ -87,11 +82,10 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    schema = CsvSchema(lenient=args.lenient_labels)
-    train = read_csv_stream(args.train, schema)
+    train = read_csv_stream(args.train, args.lenient_labels)
     if not train.labeled.all():
         raise ConfigError(f"--train {args.train}: every training row needs a label")
-    stream = iter_csv_stream(args.stream, schema)
+    stream = iter_csv_stream(args.stream, args.lenient_labels)
 
     if args.method in ("cdm", "qtewma"):
         if not args.thresholds:
@@ -164,7 +158,7 @@ def _mixture_from_config(raw: dict) -> GaussianMixtureConfig:
         raise ConfigError(f"mixture config is missing field {exc}") from exc
 
 
-def _method_from_config(raw: dict, mixture: GaussianMixtureConfig, seed: int):
+def _method_from_config(raw: dict, seed: int):
     kind = raw.get("kind")
     if kind in ("cdm", "qtewma"):
         if "table" not in raw:
@@ -219,7 +213,7 @@ def cmd_bench(args) -> int:
         raise ConfigError("config: 'methods' must be a non-empty list")
     methods = {}
     for raw in raw_methods:
-        method = _method_from_config(raw, mixture, seed)
+        method = _method_from_config(raw, seed)
         methods[method.name] = method
 
     if args.experiment == "grid":

@@ -9,7 +9,8 @@ constant-memory row iterator.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -78,26 +79,11 @@ class GaussianMixtureConfig:
         return self.means.shape[1]
 
 
-def two_gaussian_config(delta: float = 2.0, class2_shift=(0.0, 0.0), tau: int = 0) -> GaussianMixtureConfig:
-    """Default synthetic setting: two identity-covariance Gaussians in 2-D.
-
-    Class 1 sits at the origin, class 2 at [delta, 0]; the post-change
-    distribution translates class 2 by ``class2_shift``.
-    """
-    means = np.array([[0.0, 0.0], [float(delta), 0.0]])
-    post = means.copy()
-    post[1] += np.asarray(class2_shift, dtype=float)
-    return GaussianMixtureConfig(means=means, post_means=post, tau=tau)
-
-
 @dataclass
 class LabeledStream:
     x: np.ndarray                 # (T, d)
     y: np.ndarray                 # (T,) labels in 1..M (value ignored if unlabeled)
     labeled: np.ndarray           # (T,) bool
-    tau: Optional[int] = None
-    seed: Optional[int] = None
-    source: str = "synthetic"
 
     def __post_init__(self):
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
@@ -142,8 +128,7 @@ def generate_stream(cfg: GaussianMixtureConfig, length: int, seed: int) -> Label
     labels = rng.choice(cfg.n_classes, size=length, p=cfg.priors) + 1
     post = np.arange(1, length + 1) > cfg.tau
     x = _mixture_draw(cfg, labels, post, rng)
-    return LabeledStream(x=x, y=labels, labeled=np.ones(length, dtype=bool),
-                         tau=cfg.tau, seed=int(seed))
+    return LabeledStream(x=x, y=labels, labeled=np.ones(length, dtype=bool))
 
 
 def sample_mixture(cfg: GaussianMixtureConfig, n: int, seed: int,
@@ -199,139 +184,64 @@ def skl_gaussian(mean0, cov0, mean1, cov1) -> float:
                         + directed(mean1, cov1, mean0, cov0)))
 
 
-def splice_streams(pre: LabeledStream, post: LabeledStream, tau: int) -> LabeledStream:
-    """First tau samples from ``pre`` followed by all of ``post``."""
-    if pre.x.shape[1] != post.x.shape[1]:
-        raise InputError("streams have different dimensions")
-    if tau < 0 or tau > len(pre):
-        raise InputError(f"tau={tau} out of range for the pre-change stream")
-    return LabeledStream(
-        x=np.vstack([pre.x[:tau], post.x]),
-        y=np.concatenate([pre.y[:tau], post.y]),
-        labeled=np.concatenate([pre.labeled[:tau], post.labeled]),
-        tau=tau,
-        seed=pre.seed,
-        source=f"splice({pre.source},{post.source})",
-    )
-
-
-def subsample_without_replacement(x, y, per_class: int, seed: int):
-    """Split (x, y) into a per-class training draw and the remainder."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
-    rng = rng_from(seed)
-    train_idx = []
-    for m in np.unique(y):
-        idx = np.flatnonzero(y == m)
-        if len(idx) < per_class:
-            raise InputError(
-                f"class {m} has only {len(idx)} samples, need {per_class}"
-            )
-        train_idx.append(rng.choice(idx, size=per_class, replace=False))
-    train_idx = np.sort(np.concatenate(train_idx))
-    rest_mask = np.ones(len(y), dtype=bool)
-    rest_mask[train_idx] = False
-    return (x[train_idx], y[train_idx]), (x[rest_mask], y[rest_mask])
-
-
 # ---------------------------------------------------------------------------
-# CSV ingestion / emission
+# CSV ingestion
 
 
-@dataclass
-class CsvSchema:
-    """Column layout of a labeled stream CSV.
-
-    By default the last column is the label and all the others are
-    features. An empty label field marks an unlabeled sample; label
-    tokens may be mapped to integers via ``label_map``.
-    """
-
-    label_col: int = -1
-    feature_cols: Optional[list[int]] = None
-    label_map: Optional[dict[str, int]] = None
-    lenient: bool = False
-
-
-def _parse_label(token: str, schema: CsvSchema, row_number: int) -> Optional[int]:
+def _parse_label(token: str, lenient: bool, row_number: int) -> Optional[int]:
     token = token.strip()
     if token == "":
         return None
-    if schema.label_map is not None:
-        if token in schema.label_map:
-            return int(schema.label_map[token])
-        if schema.lenient:
-            return None
-        raise FormatError(f"row {row_number}: unknown label token {token!r}")
     try:
         return int(token)
     except ValueError:
-        if schema.lenient:
+        if lenient:
             return None
         raise FormatError(f"row {row_number}: unknown label token {token!r}") from None
 
 
-def iter_csv_stream(path, schema: CsvSchema | None = None):
+def iter_csv_stream(path, lenient: bool = False):
     """Yield (features, label-or-None) per CSV row in constant memory.
 
-    A non-numeric first row (in the feature columns) is treated as a
-    header and skipped. Malformed rows raise FormatError with the
-    1-based row number.
+    Every column but the last is a feature and the last is the label; an
+    empty label marks an unlabeled sample, and with ``lenient`` so does
+    any non-integer label. A non-numeric first row is treated as a header
+    and skipped. A row whose width differs from the first data row's, a
+    non-numeric or non-finite feature, or an unknown label raises
+    FormatError with the 1-based row number.
     """
-    schema = schema or CsvSchema()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        first = True
-        for row_number, row in enumerate(reader, start=1):
+        width = None  # columns of the first data row; 0 after a header
+        for row_number, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
-            label_col = schema.label_col if schema.label_col >= 0 else len(row) + schema.label_col
-            feature_cols = schema.feature_cols
-            if feature_cols is None:
-                feature_cols = [i for i in range(len(row)) if i != label_col]
-            if first:
-                first = False
-                try:
-                    [float(row[i]) for i in feature_cols]
-                except (ValueError, IndexError):
-                    continue  # header row
             try:
-                features = np.array([float(row[i]) for i in feature_cols])
+                values = [float(v) for v in row[:-1]]
             except ValueError as exc:
+                if width is None:
+                    width = 0
+                    continue
                 raise FormatError(f"row {row_number}: {exc}") from exc
-            except IndexError:
+            if not width:
+                if len(row) < 2:
+                    raise FormatError(f"row {row_number}: need features and a label")
+                width = len(row)
+            elif len(row) != width:
                 raise FormatError(
-                    f"row {row_number}: expected at least {max(feature_cols) + 1} columns"
-                ) from None
-            if label_col >= len(row) or label_col < 0:
-                raise FormatError(f"row {row_number}: missing label column")
-            yield features, _parse_label(row[label_col], schema, row_number)
+                    f"row {row_number}: expected {width} columns, got {len(row)}"
+                )
+            if not all(map(math.isfinite, values)):
+                raise FormatError(f"row {row_number}: non-finite feature")
+            yield np.array(values), _parse_label(row[-1], lenient, row_number)
 
 
-def read_csv_stream(path, schema: CsvSchema | None = None,
-                    tau: Optional[int] = None) -> LabeledStream:
+def read_csv_stream(path, lenient: bool = False) -> LabeledStream:
     """Materialize a CSV stream (convenience wrapper over the iterator)."""
     xs, ys, labeled = [], [], []
-    dim = None
-    for features, label in iter_csv_stream(path, schema):
-        if dim is None:
-            dim = features.size
-        elif features.size != dim:
-            raise FormatError(f"row {len(xs) + 1}: inconsistent feature count")
+    for features, label in iter_csv_stream(path, lenient):
         xs.append(features)
         ys.append(0 if label is None else label)
         labeled.append(label is not None)
     if not xs:
         raise FormatError(f"{path}: no data rows")
-    return LabeledStream(x=np.array(xs), y=np.array(ys), labeled=np.array(labeled),
-                         tau=tau, source=str(path))
-
-
-def write_csv_stream(stream: LabeledStream, path) -> None:
-    """Write features plus a trailing label column (blank if unlabeled)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for i in range(len(stream)):
-            row = [repr(float(v)) for v in stream.x[i]]
-            row.append(str(int(stream.y[i])) if stream.labeled[i] else "")
-            writer.writerow(row)
+    return LabeledStream(x=np.array(xs), y=np.array(ys), labeled=np.array(labeled))

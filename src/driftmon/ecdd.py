@@ -83,6 +83,13 @@ def ecdd_update(state: EcddState, error: int) -> tuple[float, bool]:
     return state.u, state.detected
 
 
+def _check_width(x, dim: int) -> np.ndarray:
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != dim:
+        raise InputError(f"expected {dim} features, got {x.shape[1]}")
+    return x
+
+
 class KnnClassifier:
     """k-nearest-neighbours with Euclidean distance.
 
@@ -107,7 +114,7 @@ class KnnClassifier:
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = _check_width(x, self.train_x.shape[1])
         out = np.empty(len(x), dtype=np.int64)
         chunk = max(1, 2_000_000 // max(1, len(self.train_x)))
         for start in range(0, len(x), chunk):
@@ -155,7 +162,7 @@ class LdaClassifier:
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = _check_width(x, self.weights.shape[0])
         scores = x @ self.weights + self.biases
         return self.classes[scores.argmax(axis=1)]
 

@@ -28,8 +28,7 @@ def batch_first_exceed(bins: np.ndarray, lengths: np.ndarray, table: ThresholdTa
     ``seeds``: per-row histogram seeds; a row whose statistic ties h_t
     fires when ``tie_uniform(seed, t) < gamma_t``, exactly as the online
     detector does. Returns per-row 1-based detection steps, 0 where no
-    detection occurs. Uniform target probabilities are assumed (matching
-    calibrated tables).
+    detection occurs.
     """
     n_rows, t_pad = bins.shape
     lengths = np.asarray(lengths, dtype=np.int64)

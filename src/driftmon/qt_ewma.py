@@ -75,8 +75,6 @@ class QtEwmaDetector:
                 f"threshold table train_size={thresholds.train_size} does not match "
                 f"histogram train_size={hist.train_size}"
             )
-        if not np.array_equal(hist.target_probs, uniform_probs(hist.n_bins)):
-            raise ConfigError("histogram target_probs must be uniform, as calibration assumes")
         self.hist = hist
         self.lam = float(lam)
         self.thresholds = thresholds

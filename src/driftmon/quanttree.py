@@ -11,15 +11,12 @@ distribution, provided the data are continuous.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InputError
-from .seeding import RNG_ALGORITHM, rng_from
-
-FORMAT_VERSION = 1
+from .errors import ConfigError, InputError
+from .seeding import rng_from
 
 LOWER = "lower"  # bin is {x : x[dim] <= threshold}
 UPPER = "upper"  # bin is {x : x[dim] >  threshold}
@@ -34,10 +31,13 @@ class Split:
 
 @dataclass(frozen=True)
 class QuantTreeHistogram:
-    """Immutable histogram: K-1 ordered splits partitioning R^d into K bins."""
+    """Immutable histogram: K-1 ordered splits partitioning R^d into K bins.
+
+    Every bin targets probability 1/K, the only histogram that threshold
+    calibration simulates.
+    """
 
     splits: tuple[Split, ...]
-    target_probs: np.ndarray
     dim: int
     train_size: int
     seed: int
@@ -51,43 +51,22 @@ def uniform_probs(n_bins: int) -> np.ndarray:
     return np.full(n_bins, 1.0 / n_bins)
 
 
-def _check_probs(target_probs: np.ndarray) -> np.ndarray:
-    pi = np.asarray(target_probs, dtype=float)
-    if pi.ndim != 1 or pi.size < 2:
-        raise ConfigError("target_probs must be a vector with at least 2 entries")
-    if not np.all(np.isfinite(pi)) or np.any(pi <= 0.0):
-        raise ConfigError("target_probs must be strictly positive")
-    if abs(pi.sum() - 1.0) > 1e-9:
-        raise ConfigError(f"target_probs must sum to 1, got {pi.sum()!r}")
-    return pi
-
-
-def expected_allocation(train_size: int, target_probs) -> np.ndarray:
-    """Exact per-bin training counts produced by the construction rule."""
-    pi = _check_probs(target_probs)
-    n_bins = pi.size
-    counts = np.zeros(n_bins, dtype=int)
-    remaining = int(train_size)
-    for k in range(n_bins - 1):
-        counts[k] = _bin_allocation(remaining, pi, k)
-        remaining -= counts[k]
-    counts[n_bins - 1] = remaining
-    return counts
-
-
 def _bin_allocation(n_remaining: int, pi: np.ndarray, k: int) -> int:
+    # float arithmetic over pi on purpose: an integer n / (K - k) rounds
+    # half-integers differently (K=3, N=10 allocates 3, 3, 4 here)
     n_bins = pi.size
     target = int(round(n_remaining * pi[k] / pi[k:].sum()))
     # keep at least one point available for every later bin
     return max(1, min(target, n_remaining - (n_bins - 1 - k)))
 
 
-def build_quanttree(training, target_probs, seed: int) -> QuantTreeHistogram:
-    """Build a QuantTree histogram on ``training`` (N x d).
+def build_quanttree(training, n_bins: int, seed: int) -> QuantTreeHistogram:
+    """Build a K-bin QuantTree histogram on ``training`` (N x d).
 
     Each bin k < K-1 is carved off by a random axis-aligned halfspace
-    holding exactly its allocated number of training points; the last bin
-    is the remainder of R^d. Deterministic given (training, probs, seed).
+    holding exactly its allocated share (about N/K) of the training
+    points; the last bin is the remainder of R^d. Deterministic given
+    (training, K, seed).
     """
     x = np.asarray(training, dtype=float)
     if x.ndim == 1:
@@ -96,9 +75,10 @@ def build_quanttree(training, target_probs, seed: int) -> QuantTreeHistogram:
         raise InputError("training must be a non-empty N x d matrix")
     if not np.all(np.isfinite(x)):
         raise InputError("training contains non-finite values")
-    pi = _check_probs(target_probs)
+    if n_bins < 2:
+        raise ConfigError(f"n_bins must be >= 2, got {n_bins}")
+    pi = uniform_probs(n_bins)
     n, d = x.shape
-    n_bins = pi.size
     if n < n_bins:
         raise ConfigError(f"need at least {n_bins} training points, got {n}")
 
@@ -124,7 +104,6 @@ def build_quanttree(training, target_probs, seed: int) -> QuantTreeHistogram:
 
     return QuantTreeHistogram(
         splits=tuple(splits),
-        target_probs=pi,
         dim=d,
         train_size=n,
         seed=int(seed),
@@ -163,67 +142,3 @@ def locate_bins(hist: QuantTreeHistogram, dataset) -> np.ndarray:
         out[unassigned & cond] = k
         unassigned &= ~cond
     return out
-
-
-def bin_counts(hist: QuantTreeHistogram, dataset) -> np.ndarray:
-    """Per-bin counts of the rows of ``dataset``; sums to the row count."""
-    x = np.asarray(dataset, dtype=float)
-    if x.size == 0:
-        return np.zeros(hist.n_bins, dtype=np.int64)
-    return np.bincount(locate_bins(hist, x), minlength=hist.n_bins)
-
-
-def histogram_to_dict(hist: QuantTreeHistogram) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "quanttree-histogram",
-        "rng": RNG_ALGORITHM,
-        "dim": hist.dim,
-        "n_bins": hist.n_bins,
-        "train_size": hist.train_size,
-        "seed": hist.seed,
-        "target_probs": [float(p) for p in hist.target_probs],
-        "splits": [[s.dim, s.threshold, s.direction] for s in hist.splits],
-    }
-
-
-def histogram_from_dict(payload: dict) -> QuantTreeHistogram:
-    try:
-        if payload["format_version"] != FORMAT_VERSION:
-            raise FormatError(
-                f"unsupported histogram format_version {payload['format_version']!r}"
-            )
-        splits = tuple(
-            Split(int(dim), float(thr), str(direction))
-            for dim, thr, direction in payload["splits"]
-        )
-        hist = QuantTreeHistogram(
-            splits=splits,
-            target_probs=np.asarray(payload["target_probs"], dtype=float),
-            dim=int(payload["dim"]),
-            train_size=int(payload["train_size"]),
-            seed=int(payload["seed"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed histogram record: {exc}") from exc
-    if hist.n_bins != int(payload["n_bins"]):
-        raise FormatError("histogram record is inconsistent: n_bins mismatch")
-    for s in splits:
-        if s.direction not in (LOWER, UPPER):
-            raise FormatError(f"unknown split direction {s.direction!r}")
-    return hist
-
-
-def save_histogram(hist: QuantTreeHistogram, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(histogram_to_dict(hist), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def load_histogram(path) -> QuantTreeHistogram:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"corrupt histogram file {path}: {exc}") from exc
-    return histogram_from_dict(payload)

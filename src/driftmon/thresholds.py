@@ -9,8 +9,8 @@ The detection rule is randomized at the atoms of the statistic: step t
 fires when S_t > h_t, or when S_t == h_t and an independent uniform U_t
 falls below gamma_t. This realizes the exceedance probability alpha
 exactly even where the statistic takes few distinct values (a single
-one at t = 1). Format version 1 tables carry no gamma and load with
-gamma = 0, the plain strict rule.
+one at t = 1). Format version 1 tables, calibrated for the strict rule
+alone, are refused.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import FormatError, InputError
 from .seeding import RNG_ALGORITHM
 
 TABLE_FORMAT_VERSION = 2
-SUPPORTED_FORMAT_VERSIONS = (1, 2)
 TAIL_CONSTANT = "constant"
 
 
@@ -112,10 +111,11 @@ def table_to_dict(table: ThresholdTable) -> dict:
 def table_from_dict(payload: dict) -> ThresholdTable:
     try:
         version = payload["format_version"]
-        if version not in SUPPORTED_FORMAT_VERSIONS:
+        if version == 1:
+            raise FormatError("table format_version 1 predates the randomized tie "
+                              "rule and misses alpha at the first steps; recalibrate it")
+        if version != TABLE_FORMAT_VERSION:
             raise FormatError(f"unsupported table format_version {version!r}")
-        # version 1 predates the randomized tie rule: gamma = 0 throughout
-        gamma = None if version == 1 else np.asarray(payload["gamma"], dtype=float)
         return ThresholdTable(
             n_bins=int(payload["n_bins"]),
             lam=float(payload["lambda"]),
@@ -126,7 +126,7 @@ def table_from_dict(payload: dict) -> ThresholdTable:
             seed=int(payload["seed"]),
             thresholds=np.asarray(payload["thresholds"], dtype=float),
             tail_rule=str(payload["tail_rule"]),
-            gamma=gamma,
+            gamma=np.asarray(payload["gamma"], dtype=float),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed threshold table: {exc}") from exc

@@ -1,16 +1,21 @@
-"""Shared fixtures, replay statistics and the acceptance-line reporter.
+"""Shared fixtures, test data helpers, replay statistics and the
+acceptance-line reporter.
 
 Acceptance tests register one line per criterion; the hook below prints
 them in the terminal summary so the verdicts are visible regardless of
 pytest's output capturing.
 """
 
+import csv
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from driftmon import calibrate_thresholds
+from driftmon import GaussianMixtureConfig, build_quanttree, calibrate_thresholds, locate_bins
+from driftmon.calibration import _uniform_tree_batch
+from driftmon.qt_ewma import ewma_step
+from driftmon.seeding import derive_seed, rng_from
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -27,6 +32,58 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in sorted(ACCEPTANCE_LINES):
         terminalreporter.write_line(line)
+
+
+def two_gaussian_config(delta: float = 2.0, class2_shift=(0.0, 0.0), tau: int = 0) -> GaussianMixtureConfig:
+    """Default synthetic setting: two identity-covariance Gaussians in 2-D.
+
+    Class 1 sits at the origin, class 2 at [delta, 0]; the post-change
+    distribution translates class 2 by ``class2_shift``.
+    """
+    means = np.array([[0.0, 0.0], [float(delta), 0.0]])
+    post = means.copy()
+    post[1] += np.asarray(class2_shift, dtype=float)
+    return GaussianMixtureConfig(means=means, post_means=post, tau=tau)
+
+
+def write_csv_stream(stream, path) -> None:
+    """Write features plus a trailing label column (blank if unlabeled)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        for i in range(len(stream)):
+            row = [repr(float(v)) for v in stream.x[i]]
+            row.append(str(int(stream.y[i])) if stream.labeled[i] else "")
+            writer.writerow(row)
+
+
+def bin_counts(hist, data) -> np.ndarray:
+    """Per-bin counts of the rows of ``data``."""
+    return np.bincount(locate_bins(hist, data), minlength=hist.n_bins)
+
+
+def tree_batch_training_counts(n_train, n_bins, seed) -> np.ndarray:
+    """Training counts per bin of one tree from the vectorized builder.
+
+    Regenerates the sorted training row the builder consumed from
+    ``rng_from(seed)`` and counts it into the tree's intervals.
+    """
+    x = np.sort(rng_from(seed).random((1, n_train)), axis=1)[0]
+    edges, perm = _uniform_tree_batch(n_train, n_bins, 1, rng_from(seed))
+    idx = (x[:, None] > edges[0]).sum(axis=1)
+    return np.bincount(perm[0][idx], minlength=n_bins)
+
+
+def stationary_trajectory(train_size, n_bins, lam, horizon, seed) -> np.ndarray:
+    """Statistic S_1..S_horizon of one detector on a stationary stream.
+
+    Builds a histogram on 1-D uniform training data and streams uniform
+    samples through the shared recursion with no thresholds applied.
+    """
+    training = rng_from(derive_seed(seed, 0)).random((train_size, 1))
+    hist = build_quanttree(training, n_bins, derive_seed(seed, 1))
+    stream = rng_from(derive_seed(seed, 2)).random((horizon, 1))
+    z = np.full(n_bins, 1.0 / n_bins)
+    return np.array([ewma_step(z, b, lam) for b in locate_bins(hist, stream)])
 
 
 def exceedance_z_scores(table, exceed, at_risk):

@@ -17,7 +17,13 @@ import json
 
 import numpy as np
 import pytest
-from conftest import exceedance_z_scores, family_wise_bound, record_criterion
+from conftest import (
+    exceedance_z_scores,
+    family_wise_bound,
+    record_criterion,
+    two_gaussian_config,
+    write_csv_stream,
+)
 
 from driftmon import (
     GaussianMixtureConfig,
@@ -29,9 +35,6 @@ from driftmon import (
     fit_cdm,
     replay_exceedance,
     save_table,
-    two_gaussian_config,
-    uniform_probs,
-    write_csv_stream,
 )
 from driftmon.bench import (
     CdmMethod,
@@ -154,7 +157,7 @@ def test_criterion_05_single_class_reduction(small_table):
         train = rng.standard_normal((64, 2))
         monitor = fit_cdm(train, np.ones(64, dtype=int), small_table,
                           n_bins=16, lam=0.03, seed=trial)
-        hist = build_quanttree(train, uniform_probs(16), class_seed(trial, 1))
+        hist = build_quanttree(train, 16, class_seed(trial, 1))
         solo = QtEwmaDetector(hist, 0.03, small_table)
         stream = rng.standard_normal((400, 2))
         identical = True

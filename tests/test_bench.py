@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
+from conftest import two_gaussian_config
 
 from driftmon import (
     CdmMethod,
     ConfigError,
     EcddMethod,
     GaussianMixtureConfig,
-    average_ranks,
     estimate_arl0,
     estimate_delay,
     grid_cells,
     run_grid_experiment,
-    two_gaussian_config,
 )
 from driftmon.bench import config_hash
 from driftmon.thresholds import ThresholdTable
@@ -148,17 +147,6 @@ def test_grid_requires_cells_and_tau(small_table):
         run_grid_experiment(two_gaussian_config(tau=30), {"m": method}, 5, 0, cells=[])
     with pytest.raises(ConfigError):
         run_grid_experiment(two_gaussian_config(), {"m": method}, 5, 0)
-
-
-def test_average_ranks():
-    assert average_ranks({"a": [1.0, 2.0], "b": [5.0, 6.0]}) == {"a": 1.0, "b": 2.0}
-    ranks = average_ranks({"a": [1.0], "b": [1.0], "c": [9.0]})
-    assert ranks["a"] == ranks["b"] == 1.5
-    assert ranks["c"] == 3.0
-    with pytest.raises(ConfigError):
-        average_ranks({"a": [1.0, 2.0], "b": [5.0]})
-    with pytest.raises(ConfigError):
-        average_ranks({})
 
 
 def test_config_hash_is_stable():

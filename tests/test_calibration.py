@@ -2,19 +2,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import exceedance_z_scores, family_wise_bound
+from conftest import (
+    bin_counts,
+    exceedance_z_scores,
+    family_wise_bound,
+    stationary_trajectory,
+    tree_batch_training_counts,
+)
 
 from driftmon import (
     CalibrationError,
     ConfigError,
+    build_quanttree,
     calibrate_ecdd_limit,
     calibrate_thresholds,
     replay_exceedance,
-    simulate_stationary_trajectory,
 )
 from driftmon.calibration import _uniform_tree_batch
 from driftmon.engine import ecdd_first_exceed
-from driftmon.quanttree import expected_allocation, uniform_probs
 from driftmon.seeding import rng_from
 
 T1_K16_LAM003 = 0.03**2 * (1 - 1 / 16) / (1 / 16)  # lam^2 (1-pi)/pi = 0.0135
@@ -22,15 +27,15 @@ T1_K16_LAM003 = 0.03**2 * (1 - 1 / 16) / (1 / 16)  # lam^2 (1-pi)/pi = 0.0135
 
 def test_first_statistic_is_the_single_atom():
     for seed in range(5):
-        traj = simulate_stationary_trajectory(256, 16, 0.03, horizon=3, seed=seed)
+        traj = stationary_trajectory(256, 16, 0.03, horizon=3, seed=seed)
         assert traj[0] == pytest.approx(0.0135, abs=1e-12)
     assert T1_K16_LAM003 == pytest.approx(0.0135, abs=1e-12)
 
 
 def test_trajectory_determinism_and_shape():
-    a = simulate_stationary_trajectory(64, 8, 0.05, horizon=50, seed=123)
-    b = simulate_stationary_trajectory(64, 8, 0.05, horizon=50, seed=123)
-    c = simulate_stationary_trajectory(64, 8, 0.05, horizon=50, seed=124)
+    a = stationary_trajectory(64, 8, 0.05, horizon=50, seed=123)
+    b = stationary_trajectory(64, 8, 0.05, horizon=50, seed=123)
+    c = stationary_trajectory(64, 8, 0.05, horizon=50, seed=124)
     assert a.shape == (50,)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
@@ -41,7 +46,7 @@ def test_statistic_mean_stabilizes_after_memory_horizon():
     lam, horizon = 0.05, 300
     means = np.zeros(horizon)
     for seed in range(300):
-        means += simulate_stationary_trajectory(64, 8, lam, horizon, seed=seed)
+        means += stationary_trajectory(64, 8, lam, horizon, seed=seed)
     means /= 300
     plateau_a = means[149:200].mean()
     plateau_b = means[249:300].mean()
@@ -111,16 +116,15 @@ def test_replay_exceedance_tracks_alpha(small_table):
 
 
 def test_uniform_tree_batch_allocates_exactly():
-    # regenerate the sorted training row the builder consumed and check
-    # that it lands the exact per-bin allocation
+    # the sorted training row the builder consumed lands the same per-bin
+    # allocation as the generic builder gives
     seed, n_train, n_bins = 321, 64, 8
-    x = np.sort(rng_from(seed).random((1, n_train)), axis=1)
     edges, perm = _uniform_tree_batch(n_train, n_bins, 1, rng_from(seed))
     assert sorted(perm[0].tolist()) == list(range(n_bins))
     assert np.all(np.diff(edges[0]) > 0)
-    idx = (x[0][:, None] > edges[0]).sum(axis=1)
-    counts = np.bincount(perm[0][idx], minlength=n_bins)
-    assert counts.tolist() == expected_allocation(n_train, uniform_probs(n_bins)).tolist()
+    training = rng_from(seed).random((n_train, 1))
+    expected = bin_counts(build_quanttree(training, n_bins, seed), training)
+    assert tree_batch_training_counts(n_train, n_bins, seed).tolist() == expected.tolist()
 
 
 def test_ecdd_limit_monotone_in_target():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import bin_counts
 
 from driftmon import (
     CdmMonitor,
@@ -7,11 +8,9 @@ from driftmon import (
     GaussianMixtureConfig,
     InputError,
     QtEwmaDetector,
-    bin_counts,
     build_quanttree,
     fit_cdm,
     run_labeled_stream,
-    uniform_probs,
 )
 from driftmon.bench import CdmMethod, estimate_arl0
 from driftmon.cdm import class_seed, fit_class_histograms
@@ -60,7 +59,7 @@ def test_m1_reduction_is_bit_identical(small_table):
         train = rng.standard_normal((64, 2))
         monitor = fit_cdm(train, np.ones(64, dtype=int), small_table, n_bins=16,
                           lam=0.03, seed=trial)
-        hist = build_quanttree(train, uniform_probs(16), class_seed(trial, 1))
+        hist = build_quanttree(train, 16, class_seed(trial, 1))
         solo = QtEwmaDetector(hist, 0.03, small_table)
         stream = rng.standard_normal((600, 2))
         for t in range(600):

@@ -3,8 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from conftest import write_csv_stream
 
-from driftmon import LabeledStream, load_table, save_table, write_csv_stream
+from driftmon import LabeledStream, load_table, save_table
 from driftmon.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from driftmon.seeding import rng_from
 
@@ -135,13 +136,21 @@ def test_missing_stream_file_is_io_error(workdir, capsys):
 
 
 def test_malformed_csv_row_reports_number(workdir, capsys, tmp_path):
+    # the training CSV has 2 features: a non-numeric feature, a short row,
+    # a long row and a NaN on row 2 stop every method with its number
+    methods = {
+        "cdm": ["--method", "cdm", "--thresholds", str(workdir["table"]), "--k", "8"],
+        "ecdd-knn": ["--method", "ecdd", "--classifier", "knn", "--ecdd-limit", "2.0"],
+        "ecdd-lda": ["--method", "ecdd", "--classifier", "lda", "--ecdd-limit", "2.0"],
+    }
     bad = tmp_path / "bad.csv"
-    bad.write_text("0.5,1.5,1\nx,y,1\n")
-    code = main(["monitor", "--method", "cdm", "--train", str(workdir["train"]),
-                 "--stream", str(bad),
-                 "--thresholds", str(workdir["table"]), "--k", "8"])
-    assert code == EXIT_IO
-    assert "row 2" in capsys.readouterr().err
+    for name, method in methods.items():
+        for row in ["x,y,1", "1.0,1", "1.0,2.0,3.0,1", "nan,2.0,1"]:
+            bad.write_text(f"0.5,1.5,1\n{row}\n")
+            code = main(["monitor", *method, "--train", str(workdir["train"]),
+                         "--stream", str(bad)])
+            err = capsys.readouterr().err
+            assert code == EXIT_IO and "row 2" in err, (name, row, code, err)
 
 
 def bench_config(workdir, **overrides):

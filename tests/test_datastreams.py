@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from conftest import two_gaussian_config, write_csv_stream
 
 from driftmon import (
     ConfigError,
-    CsvSchema,
     FormatError,
     GaussianMixtureConfig,
     InputError,
@@ -13,10 +13,6 @@ from driftmon import (
     read_csv_stream,
     sample_training,
     skl_gaussian,
-    splice_streams,
-    subsample_without_replacement,
-    two_gaussian_config,
-    write_csv_stream,
 )
 
 
@@ -113,37 +109,6 @@ def test_skl_symmetry_and_closed_form():
         skl_gaussian(mu0, -eye, mu1, eye)
 
 
-def test_splice_streams():
-    cfg = two_gaussian_config(delta=2.0)
-    pre = generate_stream(cfg, 100, seed=7)
-    post = generate_stream(cfg, 150, seed=8)
-    spliced = splice_streams(pre, post, tau=40)
-    assert len(spliced) == 190
-    assert np.array_equal(spliced.x[:40], pre.x[:40])
-    assert np.array_equal(spliced.x[40:], post.x)
-    assert spliced.tau == 40
-    with pytest.raises(InputError):
-        splice_streams(pre, post, tau=101)
-    other = generate_stream(GaussianMixtureConfig(means=np.zeros((2, 3))), 10, seed=9)
-    with pytest.raises(InputError):
-        splice_streams(pre, other, tau=5)
-
-
-def test_subsample_without_replacement():
-    cfg = two_gaussian_config(delta=2.0)
-    x, y = sample_training(cfg, 400, seed=10)
-    (tx, ty), (rx, ry) = subsample_without_replacement(x, y, 256, seed=11)
-    assert (ty == 1).sum() == 256 and (ty == 2).sum() == 256
-    assert len(tx) + len(rx) == len(x)
-    # disjoint and exhaustive: multiset of rows is preserved
-    combined = np.vstack([tx, rx])
-    assert np.array_equal(np.sort(combined[:, 0]), np.sort(x[:, 0]))
-    (tx2, _), _ = subsample_without_replacement(x, y, 256, seed=12)
-    assert not np.array_equal(tx, tx2)
-    with pytest.raises(InputError, match="class"):
-        subsample_without_replacement(x, y, 500, seed=13)
-
-
 def test_labeled_stream_iteration():
     stream = LabeledStream(
         x=np.arange(6, dtype=float).reshape(3, 2),
@@ -186,28 +151,36 @@ def test_csv_header_auto_detection(tmp_path):
 
 
 def test_csv_malformed_row_reports_number(tmp_path):
+    # every row keeps the first data row's width and finite features
     path = tmp_path / "bad.csv"
-    path.write_text("0.5,1.5,1\n2.5,oops,2\n")
-    with pytest.raises(FormatError, match="row 2"):
+    for bad, message in [("2.5,oops,2", "oops"),
+                         ("1.0,2.0,3.0,1", "expected 3 columns, got 4"),
+                         ("nan,2.0,1", "non-finite"),
+                         ("1.0,inf,1", "non-finite")]:
+        path.write_text(f"f1,f2,label\n0.5,1.5,1\n{bad}\n")
+        with pytest.raises(FormatError, match=f"row 3: .*{message}"):
+            list(iter_csv_stream(path))
+    path.write_text("1.0\n")
+    with pytest.raises(FormatError, match="row 1"):
         list(iter_csv_stream(path))
 
 
 def test_csv_short_row_reports_number(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("0.5,1.5,1\n2.5\n")
-    with pytest.raises(FormatError, match="row 2"):
+    with pytest.raises(FormatError, match="row 2: expected 3 columns, got 1"):
         list(iter_csv_stream(path))
 
 
 def test_csv_label_map_and_lenient_mode(tmp_path):
+    # labels are integers as written: a token is not mapped, so it is an
+    # error, or an unlabeled sample under the lenient rule
     path = tmp_path / "tokens.csv"
-    path.write_text("0.5,1.5,ant\n2.5,3.5,bee\n4.5,5.5,cow\n")
-    schema = CsvSchema(label_map={"ant": 1, "bee": 2})
-    with pytest.raises(FormatError, match="cow"):
-        list(iter_csv_stream(path, schema))
-    schema_len = CsvSchema(label_map={"ant": 1, "bee": 2}, lenient=True)
-    rows = list(iter_csv_stream(path, schema_len))
-    assert [label for _, label in rows] == [1, 2, None]
+    path.write_text("0.5,1.5,1\n2.5,3.5,bee\n4.5,5.5,2\n")
+    with pytest.raises(FormatError, match="row 2.*bee"):
+        list(iter_csv_stream(path))
+    rows = list(iter_csv_stream(path, lenient=True))
+    assert [label for _, label in rows] == [1, None, 2]
 
 
 def test_csv_missing_and_empty_files(tmp_path):
@@ -217,12 +190,3 @@ def test_csv_missing_and_empty_files(tmp_path):
     empty.write_text("")
     with pytest.raises(FormatError):
         read_csv_stream(empty)
-
-
-def test_csv_custom_columns(tmp_path):
-    path = tmp_path / "cols.csv"
-    path.write_text("1,10.0,20.0\n2,30.0,40.0\n")
-    schema = CsvSchema(label_col=0, feature_cols=[1, 2])
-    rows = list(iter_csv_stream(path, schema))
-    assert rows[0][1] == 1
-    assert np.array_equal(rows[1][0], [30.0, 40.0])

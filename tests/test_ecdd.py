@@ -138,6 +138,15 @@ def test_classifier_needs_two_classes():
         fit_classifier("tree", *two_class_data(2.0))
 
 
+def test_predict_rejects_a_width_mismatch():
+    x, y = two_class_data(2.0)
+    for kind in ("knn", "lda"):
+        clf = fit_classifier(kind, x, y)
+        for bad in ([1.0], [1.0, 2.0, 3.0], np.zeros((4, 3))):
+            with pytest.raises(InputError, match="features"):
+                clf.predict(bad)
+
+
 def test_lda_separates_distant_classes():
     x, y = two_class_data(4.0, n=500, seed=4)
     clf = fit_classifier("lda", x, y)
@@ -206,7 +215,8 @@ class ConstantClassifier:
 
 
 def test_constant_classifier_error_rate_is_half():
-    from driftmon import two_gaussian_config
+    from conftest import two_gaussian_config
+
     from driftmon.bench import estimate_error_rate
 
     rate = estimate_error_rate(ConstantClassifier(), two_gaussian_config(2.0), 50_000, seed=13)

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from driftmon import QtEwmaDetector, ThresholdTable, build_quanttree, uniform_probs
+from driftmon import QtEwmaDetector, ThresholdTable, build_quanttree
 from driftmon.calibration import _detection_times, _ecdd_run_max
 from driftmon.ecdd import ecdd_init, ecdd_update
 from driftmon.engine import batch_first_exceed, ecdd_first_exceed
@@ -13,7 +13,7 @@ from driftmon.seeding import rng_from
 def test_ewma_step_rows_match_detector(small_table):
     # the 2-D kernel call of the batch engine and calibration reproduces,
     # row by row, the statistics of the 1-D call an online detector makes
-    hist = build_quanttree(rng_from(1).standard_normal((64, 2)), uniform_probs(16), seed=2)
+    hist = build_quanttree(rng_from(1).standard_normal((64, 2)), 16, seed=2)
     det = QtEwmaDetector(hist, 0.03, small_table)
     seq = rng_from(3).integers(16, size=150)
     expected = []
@@ -37,7 +37,7 @@ def test_batch_first_exceed_matches_sequential(small_table):
     train = rng_from(4).standard_normal((64, 2))
     rng = rng_from(6)
     n_rows, t_pad = 60, 400
-    hists = [build_quanttree(train, uniform_probs(16), seed=5 + i) for i in range(n_rows)]
+    hists = [build_quanttree(train, 16, seed=5 + i) for i in range(n_rows)]
     lengths = rng.integers(50, t_pad + 1, size=n_rows)
     bins = rng.integers(16, size=(n_rows, t_pad)).astype(np.int16)
     tie_heavy = replace(small_table, gamma=np.where(np.arange(small_table.t_max) < 3,
@@ -121,7 +121,7 @@ def test_batch_first_exceed_statistic_order_of_operations(small_table):
     strict = replace(small_table, gamma=np.zeros(small_table.t_max))
     thresholds = strict.head(300)
     batch = batch_first_exceed(seq[None, :], np.array([300]), strict, [0])
-    z = uniform_probs(16)
+    z = np.full(16, 1 / 16)
     traj = np.array([ewma_step(z, int(b), 0.03) for b in seq])
     crossings = np.flatnonzero(traj > thresholds)
     expected = int(crossings[0] + 1) if crossings.size else 0

@@ -10,7 +10,6 @@ from driftmon import (
     ThresholdTable,
     build_quanttree,
     run_stream,
-    uniform_probs,
 )
 from driftmon.seeding import rng_from
 
@@ -18,7 +17,7 @@ from driftmon.seeding import rng_from
 @pytest.fixture()
 def hist():
     training = rng_from(1).standard_normal((64, 2))
-    return build_quanttree(training, uniform_probs(16), seed=2)
+    return build_quanttree(training, 16, seed=2)
 
 
 def test_initial_state(hist, small_table):
@@ -50,15 +49,6 @@ def test_constructor_validation(hist, small_table):
         QtEwmaDetector(hist, 0.03, bad_train)
 
 
-def test_non_uniform_histogram_is_rejected(small_table):
-    # the shared recursion and the calibrated tables assume pi = 1/K
-    pi = np.full(16, 0.5 / 15)
-    pi[0] = 0.5
-    skewed = build_quanttree(rng_from(1).standard_normal((64, 2)), pi, seed=2)
-    with pytest.raises(ConfigError, match="uniform"):
-        QtEwmaDetector(skewed, 0.03, small_table)
-
-
 def test_first_statistic_is_bin_independent(hist, small_table):
     # T_1 = lam^2 (1-pi)/pi for every possible first bin, and it equals
     # the calibrated h_1 bit for bit: the tie rule at the threshold relies
@@ -84,8 +74,8 @@ def test_statistic_depends_only_on_bin_sequence(small_table):
     # two histograms over different data, same K: identical bin index
     # sequences give identical trajectories (compared while neither has
     # fired: the histogram seeds differ, and so do their tie draws)
-    h1 = build_quanttree(rng_from(4).standard_normal((64, 2)), uniform_probs(16), seed=5)
-    h2 = build_quanttree(rng_from(6).random((64, 5)) * 100, uniform_probs(16), seed=7)
+    h1 = build_quanttree(rng_from(4).standard_normal((64, 2)), 16, seed=5)
+    h2 = build_quanttree(rng_from(6).random((64, 5)) * 100, 16, seed=7)
     d1 = QtEwmaDetector(h1, 0.03, small_table)
     d2 = QtEwmaDetector(h2, 0.03, small_table)
     seq = rng_from(8).integers(16, size=200)
@@ -152,7 +142,7 @@ def test_empirical_arl0_small_target(small_table):
     times = []
     for i in range(400):
         rng = rng_from(1000 + i)
-        hist = build_quanttree(rng.random((64, 1)), uniform_probs(16), seed=2000 + i)
+        hist = build_quanttree(rng.random((64, 1)), 16, seed=2000 + i)
         det = QtEwmaDetector(hist, 0.03, small_table)
         detected = False
         for t in range(1, 1200):

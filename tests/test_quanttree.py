@@ -1,22 +1,15 @@
-import json
-
 import numpy as np
 import pytest
+from conftest import bin_counts, tree_batch_training_counts
 
 from driftmon import (
     ConfigError,
-    FormatError,
     InputError,
-    bin_counts,
     build_quanttree,
-    expected_allocation,
-    load_histogram,
     locate_bin,
     locate_bins,
-    save_histogram,
-    uniform_probs,
 )
-from driftmon.quanttree import histogram_from_dict, histogram_to_dict
+from driftmon.quanttree import uniform_probs
 from driftmon.seeding import rng_from
 
 
@@ -27,30 +20,36 @@ def test_uniform_probs_sums_to_one():
 
 
 def test_exact_allocation_256_16():
-    counts = expected_allocation(256, uniform_probs(16))
-    assert counts.tolist() == [16] * 16
+    training = rng_from(2).random((256, 1))
+    hist = build_quanttree(training, 16, seed=4)
+    assert bin_counts(hist, training).tolist() == [16] * 16
 
 
 def test_training_counts_match_allocation():
+    # the generic builder and calibration's vectorized 1-D builder hold
+    # the same number of training points in every bin, N/K rounded
     rng = rng_from(3)
-    training = rng.standard_normal((256, 2))
-    hist = build_quanttree(training, uniform_probs(16), seed=5)
-    counts = bin_counts(hist, training)
-    assert counts.tolist() == expected_allocation(256, uniform_probs(16)).tolist()
+    for n_train, n_bins in [(256, 16), (100, 7), (64, 3), (50, 16), (1000, 32)]:
+        training = rng.standard_normal((n_train, 2))
+        counts = bin_counts(build_quanttree(training, n_bins, seed=5), training)
+        assert counts.tolist() == tree_batch_training_counts(n_train, n_bins, 6).tolist()
+        assert counts.sum() == n_train
+        assert set(counts.tolist()) <= {n_train // n_bins, -(-n_train // n_bins)}
 
 
-def test_nonuniform_probs_allocation():
-    pi = np.array([0.5, 0.25, 0.125, 0.125])
-    rng = rng_from(4)
-    training = rng.standard_normal((64, 3))
-    hist = build_quanttree(training, pi, seed=9)
-    assert bin_counts(hist, training).tolist() == expected_allocation(64, pi).tolist()
+def test_half_integer_allocation():
+    # the second bin's share 7 * (1/3) / (2/3) evaluates to 3.4999999999999996
+    # in floats and rounds to 3; an exact 7 / 2 would round to 4: 3, 4, 3
+    training = rng_from(7).standard_normal((10, 2))
+    hist = build_quanttree(training, 3, seed=8)
+    assert bin_counts(hist, training).tolist() == [3, 3, 4]
+    assert tree_batch_training_counts(10, 3, 9).tolist() == [3, 3, 4]
 
 
 def test_one_dimensional_hand_trace():
     # seed 2 draws direction "lower" on the first split
     training = np.array([1.0, 2.0, 3.0, 4.0])
-    hist = build_quanttree(training, (0.5, 0.5), seed=2)
+    hist = build_quanttree(training, 2, seed=2)
     assert hist.n_bins == 2
     split = hist.splits[0]
     assert split.dim == 0
@@ -63,7 +62,7 @@ def test_one_dimensional_hand_trace():
 
 def test_duplicate_values_fall_back_to_shared_threshold():
     training = np.array([1.0, 2.0, 2.0, 3.0])
-    hist = build_quanttree(training, (0.5, 0.5), seed=2)  # direction lower
+    hist = build_quanttree(training, 2, seed=2)  # direction lower
     assert hist.splits[0].threshold == pytest.approx(2.0)
     # "<=" semantics: the shared value goes to the lower bin
     assert locate_bin(hist, [2.0]) == 0
@@ -72,7 +71,7 @@ def test_duplicate_values_fall_back_to_shared_threshold():
 def test_locate_bins_matches_locate_bin():
     rng = rng_from(11)
     training = rng.standard_normal((128, 3))
-    hist = build_quanttree(training, uniform_probs(8), seed=13)
+    hist = build_quanttree(training, 8, seed=13)
     points = rng.standard_normal((500, 3))
     vec = locate_bins(hist, points)
     assert vec.shape == (500,)
@@ -83,7 +82,7 @@ def test_locate_bins_matches_locate_bin():
 def test_partition_totality():
     rng = rng_from(21)
     training = rng.standard_normal((64, 2))
-    hist = build_quanttree(training, uniform_probs(16), seed=23)
+    hist = build_quanttree(training, 16, seed=23)
     points = rng.standard_normal((10_000, 2)) * 5
     bins = locate_bins(hist, points)
     assert np.all((0 <= bins) & (bins < 16))
@@ -92,7 +91,7 @@ def test_partition_totality():
 def test_bin_frequencies_track_target_probs():
     rng = rng_from(31)
     training = rng.standard_normal((256, 2))
-    hist = build_quanttree(training, uniform_probs(16), seed=33)
+    hist = build_quanttree(training, 16, seed=33)
     sample = rng.standard_normal((100_000, 2))
     counts = bin_counts(hist, sample)
     assert counts.sum() == 100_000
@@ -118,8 +117,8 @@ def test_monotone_map_invariance_on_training():
         out[:, 1] = a[:, 1] ** 3
         return out
 
-    hist = build_quanttree(training, uniform_probs(8), seed=43)
-    hist_t = build_quanttree(transform(training), uniform_probs(8), seed=43)
+    hist = build_quanttree(training, 8, seed=43)
+    hist_t = build_quanttree(transform(training), 8, seed=43)
     for s, s_t in zip(hist.splits, hist_t.splits):
         assert s.dim == s_t.dim
         assert s.direction == s_t.direction
@@ -132,80 +131,35 @@ def test_monotone_map_invariance_on_training():
 def test_determinism():
     rng = rng_from(51)
     training = rng.standard_normal((64, 4))
-    a = build_quanttree(training, uniform_probs(8), seed=53)
-    b = build_quanttree(training, uniform_probs(8), seed=53)
+    a = build_quanttree(training, 8, seed=53)
+    b = build_quanttree(training, 8, seed=53)
     assert a.splits == b.splits
 
 
 def test_empty_dataset_counts():
     training = rng_from(61).standard_normal((32, 2))
-    hist = build_quanttree(training, uniform_probs(4), seed=63)
+    hist = build_quanttree(training, 4, seed=63)
     assert bin_counts(hist, np.empty((0, 2))).tolist() == [0, 0, 0, 0]
 
 
 def test_build_validation_errors():
     training = rng_from(71).standard_normal((8, 2))
     with pytest.raises(ConfigError):
-        build_quanttree(training, uniform_probs(16), seed=1)  # N < K
+        build_quanttree(training, 16, seed=1)  # N < K
     with pytest.raises(ConfigError):
-        build_quanttree(training, [0.5, 0.6], seed=1)  # probs do not sum to 1
-    with pytest.raises(ConfigError):
-        build_quanttree(training, [1.0, 0.0], seed=1)  # nonpositive prob
+        build_quanttree(training, 1, seed=1)  # fewer than 2 bins
     bad = training.copy()
     bad[0, 0] = np.nan
     with pytest.raises(InputError):
-        build_quanttree(bad, uniform_probs(4), seed=1)
+        build_quanttree(bad, 4, seed=1)
 
 
 def test_locate_validation_errors():
     training = rng_from(81).standard_normal((16, 2))
-    hist = build_quanttree(training, uniform_probs(4), seed=83)
+    hist = build_quanttree(training, 4, seed=83)
     with pytest.raises(InputError):
         locate_bin(hist, [1.0, 2.0, 3.0])
     with pytest.raises(InputError):
         locate_bin(hist, [np.inf, 0.0])
     with pytest.raises(InputError):
         locate_bins(hist, np.zeros((5, 3)))
-
-
-def test_serialization_round_trip(tmp_path):
-    training = rng_from(91).standard_normal((64, 2))
-    hist = build_quanttree(training, uniform_probs(8), seed=93)
-    path = tmp_path / "hist.json"
-    save_histogram(hist, path)
-    loaded = load_histogram(path)
-    assert loaded.splits == hist.splits
-    assert np.array_equal(loaded.target_probs, hist.target_probs)
-    assert (loaded.dim, loaded.train_size, loaded.seed) == (hist.dim, hist.train_size, hist.seed)
-    second = tmp_path / "hist2.json"
-    save_histogram(loaded, second)
-    assert path.read_bytes() == second.read_bytes()
-
-
-def test_serialization_errors(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{ not json")
-    with pytest.raises(FormatError):
-        load_histogram(path)
-    with pytest.raises(OSError):
-        load_histogram(tmp_path / "missing.json")
-    training = rng_from(95).standard_normal((16, 1))
-    payload = histogram_to_dict(build_quanttree(training, uniform_probs(4), seed=97))
-    payload["format_version"] = 99
-    with pytest.raises(FormatError):
-        histogram_from_dict(payload)
-    payload["format_version"] = 1
-    del payload["splits"]
-    with pytest.raises(FormatError):
-        histogram_from_dict(payload)
-
-
-def test_saved_payload_is_canonical_json(tmp_path):
-    training = rng_from(99).standard_normal((16, 1))
-    hist = build_quanttree(training, uniform_probs(4), seed=101)
-    path = tmp_path / "hist.json"
-    save_histogram(hist, path)
-    payload = json.loads(path.read_text())
-    assert payload["kind"] == "quanttree-histogram"
-    assert payload["n_bins"] == 4
-    assert payload["rng"] == "pcg64"

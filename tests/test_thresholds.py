@@ -95,19 +95,19 @@ def test_format_version_and_field_checks():
     del payload["gamma"]
     with pytest.raises(FormatError):
         table_from_dict(payload)  # version 2 requires gamma
-    payload["format_version"] = 1
+    payload = table_to_dict(make_table())
     del payload["thresholds"]
     with pytest.raises(FormatError):
         table_from_dict(payload)
 
 
-def test_version_1_table_loads_with_zero_gamma(tmp_path):
+def test_version_1_table_is_refused(tmp_path):
+    # a version 1 table was calibrated for the strict rule alone, which
+    # misses alpha at the first steps: it must be recalibrated, not loaded
     payload = table_to_dict(make_table())
     payload["format_version"] = 1
     del payload["gamma"]
     path = tmp_path / "v1.json"
     path.write_text(json.dumps(payload))
-    loaded = load_table(path)
-    assert np.array_equal(loaded.thresholds, [0.1, 0.2, 0.3, 0.4, 0.5])
-    assert np.array_equal(loaded.gamma, np.zeros(5))
-    assert table_to_dict(loaded)["format_version"] == 2
+    with pytest.raises(FormatError, match="recalibrate"):
+        load_table(path)
