@@ -28,7 +28,7 @@ from .datastreams import (
 )
 from .engine import batch_first_exceed, ecdd_first_exceed
 from .errors import ConfigError, DriftmonError
-from .qt_ewma import QtEwmaDetector
+from .qt_ewma import DEFAULT_LAMBDA, QtEwmaDetector
 from .quanttree import locate_bins
 from .seeding import derive_seed
 from .thresholds import ThresholdTable
@@ -40,7 +40,7 @@ class CdmMethod:
 
     table: ThresholdTable
     n_bins: int = 16
-    lam: float = 0.03
+    lam: float = DEFAULT_LAMBDA
     train_per_class: int = 256
     pooled: bool = False  # merge all labels: monitor the overall distribution
     name: str = "cdm"
@@ -52,7 +52,7 @@ class EcddMethod:
 
     limit: float
     classifier: str = "lda"
-    knn_k: int = 9
+    knn_k: int = ecdd_mod.DEFAULT_KNN_K
     r: float = ecdd_mod.DEFAULT_R
     prior_weight: float = ecdd_mod.DEFAULT_PRIOR_WEIGHT
     train_per_class: int = 256
@@ -129,74 +129,70 @@ def stationary(cfg: GaussianMixtureConfig) -> GaussianMixtureConfig:
 # replicate runners
 
 
-def _cdm_rows(method: CdmMethod, cfg: GaussianMixtureConfig, length: int,
-              rep_seed: int):
-    """Per-class (label, histogram seed, bins, global positions) for one replicate."""
+def _cdm_replicate(method: CdmMethod, cfg: GaussianMixtureConfig, length: int,
+                   rep_seed: int):
+    """One replicate's per-class histograms, stream and monitored labels."""
     tx, ty = sample_training(cfg, method.train_per_class, derive_seed(rep_seed, 0))
     if method.pooled:
         ty = np.ones_like(ty)
     hists = fit_class_histograms(tx, ty, method.n_bins, derive_seed(rep_seed, 1))
     stream = generate_stream(cfg, length, derive_seed(rep_seed, 2))
     labels = np.ones(len(stream), dtype=np.int64) if method.pooled else stream.y
-    rows = []
-    for m, hist in hists.items():
-        pos = np.flatnonzero(labels == m) + 1  # 1-based global positions
-        rows.append((m, hist.seed, locate_bins(hist, stream.x[pos - 1]), pos))
-    return rows
+    return hists, stream, labels
 
 
 def _run_cdm_batch(method: CdmMethod, cfg: GaussianMixtureConfig, replicates: int,
                    length: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    all_rows = []
-    owners = []
-    hist_seeds = []
+    all_rows, owners, hist_seeds = [], [], []
     for i in range(replicates):
-        rows = _cdm_rows(method, cfg, length, derive_seed(seed, i))
-        for m, hist_seed, bins, pos in rows:
-            all_rows.append((bins, pos))
+        hists, stream, labels = _cdm_replicate(method, cfg, length, derive_seed(seed, i))
+        for m, hist in hists.items():
+            pos = np.flatnonzero(labels == m) + 1  # 1-based global positions
+            all_rows.append((locate_bins(hist, stream.x[pos - 1]), pos))
             owners.append((i, m))
-            hist_seeds.append(hist_seed)
+            hist_seeds.append(hist.seed)
     lengths = np.array([len(bins) for bins, _ in all_rows], dtype=np.int64)
     t_pad = int(lengths.max(initial=0))
     packed = np.zeros((len(all_rows), t_pad), dtype=np.int16)
     for r, (bins, _) in enumerate(all_rows):
         packed[r, : len(bins)] = bins
     steps = batch_first_exceed(packed, lengths, method.table, hist_seeds)
-    t_star = np.zeros(replicates, dtype=np.int64)
-    m_star = np.zeros(replicates, dtype=np.int64)
+    t_star, m_star = np.zeros((2, replicates), dtype=np.int64)
     for r, step in enumerate(steps):
         if step == 0:
             continue
         i, m = owners[r]
         global_t = int(all_rows[r][1][step - 1])
         if t_star[i] == 0 or global_t < t_star[i]:
-            t_star[i] = global_t
-            m_star[i] = m
+            t_star[i], m_star[i] = global_t, m
     return t_star, m_star
 
 
 def _run_cdm_sequential(method: CdmMethod, cfg: GaussianMixtureConfig, replicates: int,
                         length: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    t_star = np.zeros(replicates, dtype=np.int64)
-    m_star = np.zeros(replicates, dtype=np.int64)
+    t_star, m_star = np.zeros((2, replicates), dtype=np.int64)
     for i in range(replicates):
-        rep_seed = derive_seed(seed, i)
-        tx, ty = sample_training(cfg, method.train_per_class, derive_seed(rep_seed, 0))
-        if method.pooled:
-            ty = np.ones_like(ty)
-        hists = fit_class_histograms(tx, ty, method.n_bins, derive_seed(rep_seed, 1))
-        detectors = {m: QtEwmaDetector(h, method.lam, method.table)
-                     for m, h in hists.items()}
-        monitor = CdmMonitor(detectors)
-        stream = generate_stream(cfg, length, derive_seed(rep_seed, 2))
+        hists, stream, labels = _cdm_replicate(method, cfg, length, derive_seed(seed, i))
+        monitor = CdmMonitor({m: QtEwmaDetector(h, method.lam, method.table)
+                              for m, h in hists.items()})
         for j in range(len(stream)):
-            y = 1 if method.pooled else int(stream.y[j])
-            detection = monitor.process(stream.x[j], y)
+            detection = monitor.process(stream.x[j], int(labels[j]))
             if detection is not None:
-                t_star[i] = detection.t_star
-                m_star[i] = detection.m_star
+                t_star[i], m_star[i] = detection.t_star, detection.m_star
                 break
     return t_star, m_star
+
+
+def _ecdd_replicate(method: EcddMethod, cfg: GaussianMixtureConfig, length: int,
+                    rep_seed: int):
+    """One replicate's fitted classifier, cross-validated p0 and stream."""
+    tx, ty = sample_training(cfg, method.train_per_class, derive_seed(rep_seed, 0))
+    clf = ecdd_mod.fit_classifier(method.classifier, tx, ty, k=method.knn_k)
+    p0 = ecdd_mod.cross_val_error(
+        method.classifier, tx, ty, n_folds=method.cv_folds,
+        seed=derive_seed(rep_seed, 1), k=method.knn_k,
+    )
+    return clf, p0, generate_stream(cfg, length, derive_seed(rep_seed, 2))
 
 
 def _run_ecdd(method: EcddMethod, cfg: GaussianMixtureConfig, replicates: int,
@@ -204,14 +200,7 @@ def _run_ecdd(method: EcddMethod, cfg: GaussianMixtureConfig, replicates: int,
     errors = np.empty((replicates, length), dtype=np.uint8)
     p0 = np.empty(replicates)
     for i in range(replicates):
-        rep_seed = derive_seed(seed, i)
-        tx, ty = sample_training(cfg, method.train_per_class, derive_seed(rep_seed, 0))
-        clf = ecdd_mod.fit_classifier(method.classifier, tx, ty, k=method.knn_k)
-        p0[i] = ecdd_mod.cross_val_error(
-            method.classifier, tx, ty, n_folds=method.cv_folds,
-            seed=derive_seed(rep_seed, 1), k=method.knn_k,
-        )
-        stream = generate_stream(cfg, length, derive_seed(rep_seed, 2))
+        clf, p0[i], stream = _ecdd_replicate(method, cfg, length, derive_seed(seed, i))
         errors[i] = clf.predict(stream.x) != stream.y
     t_star = ecdd_first_exceed(errors, p0, method.prior_weight, method.r, method.limit)
     return t_star, None
@@ -221,14 +210,7 @@ def _run_ecdd_sequential(method: EcddMethod, cfg: GaussianMixtureConfig,
                          replicates: int, length: int, seed: int):
     t_star = np.zeros(replicates, dtype=np.int64)
     for i in range(replicates):
-        rep_seed = derive_seed(seed, i)
-        tx, ty = sample_training(cfg, method.train_per_class, derive_seed(rep_seed, 0))
-        clf = ecdd_mod.fit_classifier(method.classifier, tx, ty, k=method.knn_k)
-        p0 = ecdd_mod.cross_val_error(
-            method.classifier, tx, ty, n_folds=method.cv_folds,
-            seed=derive_seed(rep_seed, 1), k=method.knn_k,
-        )
-        stream = generate_stream(cfg, length, derive_seed(rep_seed, 2))
+        clf, p0, stream = _ecdd_replicate(method, cfg, length, derive_seed(seed, i))
         state = ecdd_mod.ecdd_init(p0, method.r, method.limit, method.prior_weight)
         report = ecdd_mod.ecdd_monitor_stream(clf, iter(stream), state)
         if report["detected"]:

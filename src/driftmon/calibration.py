@@ -9,8 +9,9 @@ firing under the randomized rule (S_t > h_t, or S_t == h_t with
 probability gamma_t) is a constant alpha at every step, including the
 first steps where the statistic takes only a handful of values.
 Calibration and replay share the peeling loop ``_peel`` over
-``qt_ewma.ewma_step`` and ``qt_ewma.fires``; the ECDD limit is
-calibrated on ``ecdd.ecdd_step``.
+``qt_ewma.ewma_step`` and ``qt_ewma.fires``. The ECDD limit is solved
+exactly, with no search, from the running-maximum records of charts
+stepped by ``ecdd.ecdd_step``.
 """
 
 from __future__ import annotations
@@ -183,40 +184,59 @@ def replay_exceedance(table: ThresholdTable, replicates: int, seed: int,
                  rng_from(seed), lambda t, stat: (h[t - 1], gamma[t - 1]))
 
 
-def _ecdd_run_max(errors: np.ndarray, p0: float, prior_weight: float,
-                  r: float) -> np.ndarray:
-    """Running max over steps of (u - p) / sigma per chart, in float32.
+def _ecdd_records(error_chunks, p0: float, prior_weight: float, r: float):
+    """Each chart's records of its ratio (u - p) / sigma.
 
-    ``errors`` is (horizon, charts); a chart has fired by step t under
-    limit L when its entry at t exceeds L.
+    A record is a (value, step) at which the ratio beats the chart's running
+    maximum and 0. ``error_chunks`` yields time-major (steps, charts) blocks
+    of 0/1 errors. Returns (values, steps, charts) in step order.
     """
-    horizon, n_rows = errors.shape
-    run_max = np.empty((horizon, n_rows), dtype=np.float32)
-    u, err_sum = np.full(n_rows, p0), np.zeros(n_rows)
-    prev = np.full(n_rows, -np.inf, dtype=np.float32)
-    for t in range(1, horizon + 1):
-        u, err_sum, p, sigma = ecdd_step(u, err_sum, errors[t - 1], t, p0, prior_weight, r)
-        ratio = np.where(sigma > 0.0, (u - p) / np.where(sigma > 0.0, sigma, 1.0), -np.inf)
-        prev = np.maximum(prev, ratio.astype(np.float32), out=run_max[t - 1])
-    return run_max
+    t, u, err_sum, run_max = 0, p0, 0.0, 0.0
+    found = []
+    for errors in error_chunks:
+        ratio = np.empty((len(errors) + 1, errors.shape[1]))
+        ratio[0] = run_max
+        for j, error in enumerate(errors, start=1):
+            u, err_sum, p, sigma = ecdd_step(u, err_sum, error, t + j, p0, prior_weight, r)
+            ratio[j] = -np.inf  # sigma = 0: the chart cannot fire
+            np.divide(u - p, sigma, out=ratio[j], where=sigma > 0.0)
+        best = np.maximum.accumulate(ratio, axis=0)
+        step, chart = np.nonzero(ratio[1:] > best[:-1])
+        found.append((ratio[step + 1, chart], t + 1 + step, chart))
+        t, run_max = t + len(errors), best[-1]
+    return tuple(np.concatenate(column) for column in zip(*found))
 
 
-def _detection_times(run_max: np.ndarray, limit: float) -> np.ndarray:
-    """First step each running max exceeds ``limit``; the horizon if none."""
-    return np.minimum((run_max <= limit).sum(axis=0) + 1, run_max.shape[0])
+def _mean_detection_curve(values, steps, charts, n_charts: int, horizon: int):
+    """Mean detection time D(L) = ``means[k]`` for ``levels[k] <= L < levels[k + 1]``.
+
+    Under L a chart fires at its first record above L, else counts at the
+    horizon: the horizon less the gaps (next record step, or the horizon,
+    minus own step) of its records above L.
+    """
+    order = np.argsort(charts, kind="stable")  # by chart, each in step order
+    c, s, v = charts[order], steps[order], values[order]
+    following = np.full(s.size, horizon)
+    following[:-1] = np.where(c[1:] == c[:-1], s[1:], horizon)
+    by_value = np.argsort(v)
+    v, gap = v[by_value], (following - s)[by_value]
+    last_of_value = np.ones(v.size, dtype=bool)  # the discrete chart ties across charts
+    last_of_value[:-1] = v[1:] != v[:-1]
+    above = np.concatenate(([gap.sum()], gap.sum() - np.cumsum(gap)[last_of_value]))
+    return np.concatenate(([0.0], v[last_of_value])), (n_charts * horizon - above) / n_charts
 
 
 def calibrate_ecdd_limit(p0: float, r: float, arl0_target: float,
                          replicates: int = 5000, seed: int = 0,
                          prior_weight: float = DEFAULT_PRIOR_WEIGHT,
-                         horizon: int | None = None,
-                         tol: float = 0.02,
-                         max_iter: int = 60) -> float:
-    """Binary search for the EWMA error-chart control limit L.
+                         horizon: int | None = None) -> float:
+    """Smallest EWMA error-chart control limit L >= 0 with ARL0 >= the target.
 
-    Simulates Bernoulli(p0) error streams through the chart recursion and
-    returns the L whose mean detection time is within ``tol`` (relative)
-    of ``arl0_target``. Runs that never fire count at the horizon.
+    Runs Bernoulli(p0) error streams through the chart and solves exactly
+    on the step function D(L), the mean detection time with runs that never
+    fire counted at the horizon. L lies midway to the next record value, so
+    rounding in ``u > p + L sigma`` moves no detection; L = 0 (the chart
+    fires at the first error) when that already meets the target.
     """
     if not 0.0 < p0 < 1.0:
         raise ConfigError(f"p0 must be in (0, 1), got {p0}")
@@ -224,35 +244,28 @@ def calibrate_ecdd_limit(p0: float, r: float, arl0_target: float,
         raise ConfigError(f"r must be in (0, 1), got {r}")
     if arl0_target < 2.0:
         raise ConfigError(f"arl0_target must be >= 2, got {arl0_target}")
+    if replicates < 1:
+        raise ConfigError(f"replicates must be >= 1, got {replicates}")
+    if prior_weight < 0.0:
+        raise ConfigError(f"prior_weight must be >= 0, got {prior_weight}")
     horizon = int(20 * arl0_target) if horizon is None else int(horizon)
+    if horizon < 1:
+        raise ConfigError(f"horizon must be >= 1, got {horizon}")
 
-    # uint8 errors, drawn in blocks: consecutive draws continue one stream
     rng = rng_from(seed)
-    errors = np.empty((horizon, replicates), dtype=np.uint8)
-    block = max(1, ECDD_DRAW_BLOCK // horizon)
-    for start in range(0, replicates, block):
-        rows = errors[:, start:start + block].T
-        np.less(rng.random(rows.shape), p0, out=rows)
-    run_max = _ecdd_run_max(errors, p0, prior_weight, r)
-    del errors
-
-    def mean_detection_time(limit: float) -> float:
-        return float(_detection_times(run_max, limit).mean())
-
-    lo, hi = 0.0, 4.0
-    while mean_detection_time(hi) < arl0_target:
-        hi *= 2.0
-        if hi > 1e4:
-            raise CalibrationError("control limit search diverged")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        mean = mean_detection_time(mid)
-        if abs(mean - arl0_target) <= tol * arl0_target:
-            return mid
-        if mean < arl0_target:
-            lo = mid
-        else:
-            hi = mid
-    raise CalibrationError(
-        f"control limit search did not converge within {max_iter} iterations"
-    )
+    block = max(1, ECDD_DRAW_BLOCK // replicates)
+    chunks = (rng.random((min(block, horizon - start), replicates)) < p0
+              for start in range(0, horizon, block))
+    levels, means = _mean_detection_curve(*_ecdd_records(chunks, p0, prior_weight, r),
+                                          replicates, horizon)
+    k = int(np.searchsorted(means, arl0_target))
+    if k == means.size:
+        raise CalibrationError(
+            f"mean detection time reaches only {means[-1]:.1f} < {arl0_target} "
+            f"within horizon {horizon}; lengthen the horizon"
+        )
+    if k == 0:
+        return 0.0
+    # past the largest record every chart runs to the horizon
+    upper = levels[k + 1] if k + 1 < levels.size else levels[k] + 2.0
+    return float(0.5 * (levels[k] + upper))

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .qt_ewma import QtEwmaDetector
+from .qt_ewma import DEFAULT_LAMBDA, QtEwmaDetector
 from .quanttree import build_quanttree
 from .thresholds import ThresholdTable
 
@@ -112,7 +112,8 @@ def fit_class_histograms(train_x, train_y, n_bins: int, seed: int) -> dict[int, 
 
 
 def fit_cdm(train_x, train_y, thresholds: ThresholdTable, n_bins: int = 16,
-            lam: float = 0.03, seed: int = 0, lenient_labels: bool = False) -> CdmMonitor:
+            lam: float = DEFAULT_LAMBDA, seed: int = 0,
+            lenient_labels: bool = False) -> CdmMonitor:
     """Split the training set by class and build the per-class detectors.
 
     All classes share ``thresholds``, so the table must match the

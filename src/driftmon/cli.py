@@ -18,8 +18,10 @@ from . import bench
 from .calibration import calibrate_ecdd_limit, calibrate_thresholds
 from .cdm import fit_cdm, run_labeled_stream
 from .datastreams import GaussianMixtureConfig, iter_csv_stream, read_csv_stream
-from .ecdd import cross_val_error, ecdd_init, ecdd_monitor_stream, fit_classifier
+from .ecdd import (DEFAULT_KNN_K, DEFAULT_PRIOR_WEIGHT, DEFAULT_R, cross_val_error,
+                   ecdd_init, ecdd_monitor_stream, fit_classifier)
 from .errors import CalibrationError, ConfigError, DriftmonError, FormatError, InputError
+from .qt_ewma import DEFAULT_LAMBDA
 from .thresholds import load_table, save_table
 
 EXIT_OK = 0
@@ -38,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cal = sub.add_parser("calibrate", help="calibrate a threshold table")
     cal.add_argument("--k", dest="bins", type=int, default=16, help="histogram bins K")
-    cal.add_argument("--lambda", dest="lam", type=float, default=0.03)
+    cal.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
     cal.add_argument("--arl0", type=float, default=375.0)
     cal.add_argument("--train-size", type=int, required=True)
     cal.add_argument("--t-max", type=int, default=500)
@@ -52,15 +54,15 @@ def build_parser() -> argparse.ArgumentParser:
     mon.add_argument("--stream", required=True, help="stream CSV (labels optional)")
     mon.add_argument("--thresholds", help="threshold table (cdm/qtewma)")
     mon.add_argument("--k", dest="bins", type=int, default=16, help="histogram bins K")
-    mon.add_argument("--lambda", dest="lam", type=float, default=0.03)
+    mon.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
     mon.add_argument("--seed", type=int, default=0)
     mon.add_argument("--lenient-labels", action="store_true")
     mon.add_argument("--classifier", choices=["knn", "lda"], default="knn")
-    mon.add_argument("--knn-k", type=int, default=9)
-    mon.add_argument("--ecdd-r", type=float, default=0.2)
+    mon.add_argument("--knn-k", type=int, default=DEFAULT_KNN_K)
+    mon.add_argument("--ecdd-r", type=float, default=DEFAULT_R)
     mon.add_argument("--ecdd-limit", type=float, help="control limit L (ecdd)")
     mon.add_argument("--arl0", type=float, help="calibrate the ecdd limit for this target")
-    mon.add_argument("--prior-weight", type=float, default=100.0)
+    mon.add_argument("--prior-weight", type=float, default=DEFAULT_PRIOR_WEIGHT)
 
     ben = sub.add_parser("bench", help="run a benchmark experiment from a config file")
     ben.add_argument("experiment", choices=["arl0", "delay", "grid"])
@@ -166,7 +168,7 @@ def _method_from_config(raw: dict, seed: int):
         return bench.CdmMethod(
             table=load_table(raw["table"]),
             n_bins=int(raw.get("bins", 16)),
-            lam=float(raw.get("lambda", 0.03)),
+            lam=float(raw.get("lambda", DEFAULT_LAMBDA)),
             train_per_class=int(raw.get("train_per_class", 256)),
             pooled=(kind == "qtewma"),
             name=raw.get("name", kind),
@@ -177,15 +179,15 @@ def _method_from_config(raw: dict, seed: int):
             if "arl0" not in raw or "p0" not in raw:
                 raise ConfigError("method ecdd: provide 'limit' or both 'arl0' and 'p0'")
             limit = calibrate_ecdd_limit(
-                float(raw["p0"]), float(raw.get("r", 0.2)), float(raw["arl0"]),
-                seed=seed, prior_weight=float(raw.get("prior_weight", 100.0)),
+                float(raw["p0"]), float(raw.get("r", DEFAULT_R)), float(raw["arl0"]),
+                seed=seed, prior_weight=float(raw.get("prior_weight", DEFAULT_PRIOR_WEIGHT)),
             )
         return bench.EcddMethod(
             limit=float(limit),
             classifier=raw.get("classifier", "lda"),
-            knn_k=int(raw.get("knn_k", 9)),
-            r=float(raw.get("r", 0.2)),
-            prior_weight=float(raw.get("prior_weight", 100.0)),
+            knn_k=int(raw.get("knn_k", DEFAULT_KNN_K)),
+            r=float(raw.get("r", DEFAULT_R)),
+            prior_weight=float(raw.get("prior_weight", DEFAULT_PRIOR_WEIGHT)),
             train_per_class=int(raw.get("train_per_class", 256)),
             name=raw.get("name", "ecdd"),
         )

@@ -142,19 +142,19 @@ def test_ecdd_limit_self_validates():
     assert abs(times.mean() - target) / target < 0.05
 
 
-def test_ecdd_limit_memory_is_bounded_by_the_run_max():
-    # the float32 running maximum (replicates x horizon x 4 bytes) is the
-    # one large array; no float64 draw matrix or second copy sits beside it
-    replicates, horizon = 2000, 1000
-    run_max_bytes = replicates * horizon * 4
-    tracemalloc.start()
-    try:
-        calibrate_ecdd_limit(0.1, 0.2, 50.0, replicates=replicates, seed=2,
-                             horizon=horizon)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * run_max_bytes
+def test_ecdd_limit_memory_does_not_grow_with_the_horizon():
+    # only one draw block of ratios and the charts' records are held, so an
+    # 8x longer horizon stays under the same bound (a replicates x horizon
+    # float32 matrix alone would take 8 MB at 1000 steps and 64 MB at 8000)
+    peaks = []
+    for horizon in (1000, 8000):
+        tracemalloc.start()
+        try:
+            calibrate_ecdd_limit(0.1, 0.2, 50.0, replicates=2000, seed=2, horizon=horizon)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 12 * 2**20
 
 
 def test_ecdd_limit_parameter_errors():
@@ -164,6 +164,22 @@ def test_ecdd_limit_parameter_errors():
         calibrate_ecdd_limit(0.1, 1.0, 100.0)
     with pytest.raises(ConfigError):
         calibrate_ecdd_limit(0.1, 0.2, 1.0)
+    with pytest.raises(ConfigError, match="replicates"):
+        calibrate_ecdd_limit(0.1, 0.2, 100.0, replicates=0)
+    with pytest.raises(ConfigError, match="horizon"):
+        calibrate_ecdd_limit(0.1, 0.2, 100.0, horizon=0)
+    with pytest.raises(ConfigError, match="prior_weight"):
+        calibrate_ecdd_limit(0.1, 0.2, 100.0, prior_weight=-1.0)
+
+
+def test_ecdd_limit_at_the_clipped_error_floor():
+    # p0 = 1e-3 is where the CLI clips a zero cross-validation error; the
+    # chart then meets the target at L = 0, firing at the first error
+    limit = calibrate_ecdd_limit(1e-3, 0.2, 375.0, seed=0)
+    assert limit >= 0.0
+    errors = rng_from(77).random((500, 7500)) < 1e-3
+    det = ecdd_first_exceed(errors, np.full(500, 1e-3), 100.0, 0.2, limit)
+    assert np.where(det > 0, det, 7500).mean() >= 375.0
 
 
 def test_ecdd_limit_unreachable_target_raises():

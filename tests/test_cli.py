@@ -109,6 +109,24 @@ def test_monitor_ecdd_with_fixed_limit(workdir, capsys):
     assert "p0_estimate" in report and "limit" in report
 
 
+def test_monitor_ecdd_calibrates_at_zero_training_error(workdir, tmp_path, capsys):
+    # kNN classifies a well-separated training set without error, so the
+    # limit is calibrated at the clipped p0 = 1e-3 and must still resolve
+    rng = rng_from(91)
+    train_x = np.vstack([rng.standard_normal((40, 2)),
+                         rng.standard_normal((40, 2)) + [20.0, 0.0]])
+    train = LabeledStream(x=train_x, y=np.repeat([1, 2], 40), labeled=np.ones(80, bool))
+    train_path = tmp_path / "separable.csv"
+    write_csv_stream(train, train_path)
+    code = main(["monitor", "--method", "ecdd", "--train", str(train_path),
+                 "--stream", str(workdir["stream"]), "--classifier", "knn",
+                 "--arl0", "375"])
+    assert code == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["p0_estimate"] == 0.0
+    assert report["limit"] >= 0.0
+
+
 def test_monitor_requires_thresholds_for_cdm(workdir, capsys):
     code = main(["monitor", "--method", "cdm", "--train", str(workdir["train"]),
                  "--stream", str(workdir["stream"])])

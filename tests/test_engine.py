@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 
 from driftmon import QtEwmaDetector, ThresholdTable, build_quanttree
-from driftmon.calibration import _detection_times, _ecdd_run_max
+from driftmon.calibration import _ecdd_records, _mean_detection_curve
 from driftmon.ecdd import ecdd_init, ecdd_update
 from driftmon.engine import batch_first_exceed, ecdd_first_exceed
 from driftmon.qt_ewma import ewma_step
@@ -91,25 +91,22 @@ def test_ecdd_first_exceed_matches_sequential():
 
 
 def test_ecdd_limit_calibration_first_exceed_matches_batch():
-    # the calibration's running maximum of the required limit gives the
-    # same first-exceed times as the chart itself (horizon = never fired)
+    # the mean detection time the calibration reads off the charts' records
+    # equals the chart's own mean first-exceed time (horizon = never fired)
+    # at every limit, a midpoint between two record values included
     rng = rng_from(8)
     errors = (rng.random((30, 400)) < 0.15).astype(np.uint8)
-    run_max = _ecdd_run_max(np.ascontiguousarray(errors.T), 0.15, 100.0, 0.2)
-    via_run_max = _detection_times(run_max, 2.5)
-    direct = ecdd_first_exceed(errors, np.full(30, 0.15), 100.0, 0.2, 2.5)
-    assert np.array_equal(via_run_max, np.where(direct > 0, direct, 400))
-    assert 0 < int((direct > 0).sum()) < 30  # both outcomes occur
-
-
-def test_ecdd_run_max_shape_and_monotone_tail():
-    errors = np.ones((10, 2), dtype=np.uint8)
-    run_max = _ecdd_run_max(errors, 0.3, 50.0, 0.2)
-    assert run_max.shape == (10, 2)
-    assert run_max.dtype == np.float32
-    # all-error streams push the chart statistic monotonically upward
-    assert run_max[-1, 0] > run_max[0, 0]
-    assert np.all(np.diff(run_max, axis=0) >= 0)
+    values, steps, charts = _ecdd_records([errors.T[:150], errors.T[150:]], 0.15, 100.0,
+                                          0.2)
+    levels, means = _mean_detection_curve(values, steps, charts, 30, 400)
+    assert np.all(np.diff(levels) > 0) and np.all(np.diff(means) >= 0)
+    fired_some = False
+    for limit in (0.0, 1.0, 2.5, 3.0, 0.5 * float(levels[5] + levels[6]), float(values.max()) + 1):
+        direct = ecdd_first_exceed(errors, np.full(30, 0.15), 100.0, 0.2, limit)
+        via_records = means[np.searchsorted(levels, limit, side="right") - 1]
+        assert via_records == np.where(direct > 0, direct, 400).mean()
+        fired_some |= 0 < int((direct > 0).sum()) < 30  # both outcomes occur
+    assert fired_some
 
 
 def test_batch_first_exceed_statistic_order_of_operations(small_table):

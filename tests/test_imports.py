@@ -1,6 +1,8 @@
-"""Every name a driftmon module imports is used in that module.
+"""Every name a driftmon module imports is used in that module, and every
+module-level UPPER_CASE constant is read somewhere in the package.
 
-The package ``__init__`` re-exports names, so it is left out.
+The package ``__init__`` re-exports names, so it is left out of the import
+check.
 """
 
 import ast
@@ -33,3 +35,34 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """Module-level UPPER_CASE names that no module of ``sources`` reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            unread += [f"{name}.{t.id}" for t in targets
+                       if isinstance(t, ast.Name) and t.id.isupper() and t.id not in read]
+    return sorted(unread)
+
+
+def test_detects_an_unread_constant():
+    sources = {"a": "LIMIT = 1\nSPARE: int = 2\nlower = 3\nprint(LIMIT)\n",
+               "b": "import a\nBLOCK = STEP = 4\nprint(a.BLOCK)\n"}
+    assert unread_constants(sources) == ["a.SPARE", "b.STEP"]
+
+
+def test_package_reads_every_constant():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unread_constants(sources) == []
