@@ -1,13 +1,15 @@
 """Monte Carlo calibration of detection thresholds.
 
-Because the EWMA bin statistic depends only on the sequence of bin
-indices, thresholds can be calibrated on cheap 1-D uniform surrogates:
-each replicate builds a fresh histogram on uniform training data and
-streams fresh uniforms through the recursion. The peeling quantile
-scheme then sets (h_t, gamma_t) so that the conditional probability of
-firing under the randomized rule (S_t > h_t, or S_t == h_t with
-probability gamma_t) is a constant alpha at every step, including the
-first steps where the statistic takes only a handful of values.
+Because the EWMA bin statistic depends only on the pattern of bin hits,
+not on which labels the bins carry (``qt_ewma.ewma_step`` carries S, so
+this holds bit for bit), thresholds can be calibrated on cheap 1-D
+uniform surrogates: each replicate builds a fresh histogram on uniform
+training data, numbers its intervals from the left, and streams fresh
+uniforms through the recursion. The peeling quantile scheme then sets
+(h_t, gamma_t) so that the conditional probability of firing under the
+randomized rule (S_t > h_t, or S_t == h_t with probability gamma_t) is
+a constant alpha at every step, including the first steps where the
+statistic takes only a handful of values.
 Calibration and replay share the peeling loop ``_peel`` over
 ``qt_ewma.ewma_step`` and ``qt_ewma.fires``. The ECDD limit is solved
 exactly, with no search, from the running-maximum records of charts
@@ -33,13 +35,13 @@ ECDD_DRAW_BLOCK = 1 << 18  # uniforms per draw of the ECDD limit calibration
 
 
 def _uniform_tree_batch(n_train: int, n_bins: int, n_rep: int,
-                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                        rng: np.random.Generator) -> np.ndarray:
     """Vectorized 1-D histogram construction on uniform training data.
 
-    Returns (edges, perm): ``edges`` holds the K-1 interval boundaries
-    sorted left to right, ``perm`` maps the i-th interval from the left
-    to its bin index. Equivalent in distribution to building each tree
-    with the generic constructor on 1-D data.
+    Returns the K-1 interval boundaries of each tree, sorted left to
+    right; the i-th interval from the left serves as bin i. Equivalent in
+    distribution to building each tree with the generic constructor on
+    1-D data, up to the bin labels, which the statistic never sees.
     """
     pi = uniform_probs(n_bins)
     x = np.sort(rng.random((n_rep, n_train)), axis=1)
@@ -49,7 +51,6 @@ def _uniform_tree_batch(n_train: int, n_bins: int, n_rep: int,
     li = np.zeros(n_rep, dtype=np.int64)          # next interval slot from the left
     ri = np.full(n_rep, n_bins - 1, dtype=np.int64)  # next slot from the right
     edges = np.empty((n_rep, n_bins - 1))
-    perm = np.empty((n_rep, n_bins), dtype=np.int64)
     n_rem = n_train
     for k in range(n_bins - 1):
         count = _bin_allocation(n_rem, pi, k)
@@ -57,47 +58,40 @@ def _uniform_tree_batch(n_train: int, n_bins: int, n_rep: int,
         thr_low = 0.5 * (x[rows, lo + count - 1] + x[rows, lo + count])
         thr_up = 0.5 * (x[rows, hi - count - 1] + x[rows, hi - count])
         edges[rows, np.where(lower, li, ri - 1)] = np.where(lower, thr_low, thr_up)
-        perm[rows, np.where(lower, li, ri)] = k
         lo += np.where(lower, count, 0)
         hi -= np.where(lower, 0, count)
         li += lower
         ri -= ~lower
         n_rem -= count
-    perm[rows, li] = n_bins - 1
-    return edges, perm
+    return edges
 
 
-def _draw_bins(edges: np.ndarray, perm: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = (u[:, None] > edges).sum(axis=1)
-    return perm[np.arange(len(u)), idx]
-
-
-def _peel(train_size: int, n_bins: int, replicates: int, tree_chunk: int, lam: float,
-          horizon: int, rng: np.random.Generator, rule) -> tuple[np.ndarray, np.ndarray]:
-    """Build the replicates' histograms, ``tree_chunk`` at a time, then peel.
+def _peel(train_size: int, n_bins: int, replicates: int, lam: float, horizon: int,
+          rng: np.random.Generator, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Build the replicates' histograms, ``TREE_CHUNK`` at a time, then peel.
 
     Each step streams fresh uniforms through the survivors, ``rule(t,
     stat)`` gives (h_t, gamma_t), and those that fire are removed; tie
     uniforms follow the step's sample draws. Returns (exceedances,
     at_risk) per step.
     """
-    trees = [_uniform_tree_batch(train_size, n_bins, min(tree_chunk, replicates - start), rng)
-             for start in range(0, replicates, tree_chunk)]
-    edges, perm = np.vstack([e for e, _ in trees]), np.vstack([p for _, p in trees])
-    del trees
+    edges = np.vstack([_uniform_tree_batch(train_size, n_bins,
+                                           min(TREE_CHUNK, replicates - start), rng)
+                       for start in range(0, replicates, TREE_CHUNK)])
     z = np.full((replicates, n_bins), 1.0 / n_bins)
+    stat = np.zeros(replicates)
     exceed = np.zeros(horizon, dtype=np.int64)
     at_risk = np.zeros(horizon, dtype=np.int64)
     for t in range(1, horizon + 1):
         n_alive = edges.shape[0]
         at_risk[t - 1] = n_alive
-        b = _draw_bins(edges, perm, rng.random(n_alive))
-        stat = ewma_step(z, (np.arange(n_alive), b), lam)
+        b = (rng.random(n_alive)[:, None] > edges).sum(axis=1)
+        stat = ewma_step(z, stat, (np.arange(n_alive), b), lam)
         h_t, gamma_t = rule(t, stat)
         fire = fires(stat, h_t, gamma_t, lambda tied: rng.random(tied.size))
         exceed[t - 1] = int(fire.sum())
         keep = ~fire
-        edges, perm, z = edges[keep], perm[keep], z[keep]
+        edges, z, stat = edges[keep], z[keep], stat[keep]
     return exceed, at_risk
 
 
@@ -150,8 +144,7 @@ def calibrate_thresholds(train_size: int, n_bins: int, lam: float, arl0_target: 
         h[t - 1], gamma[t - 1] = h_t, gamma_t
         return h_t, gamma_t
 
-    _peel(train_size, n_bins, replicates, TREE_CHUNK, lam, t_max, rng_from(seed),
-          quantile_rule)
+    _peel(train_size, n_bins, replicates, lam, t_max, rng_from(seed), quantile_rule)
     return ThresholdTable(
         n_bins=n_bins,
         lam=float(lam),
@@ -179,8 +172,8 @@ def replay_exceedance(table: ThresholdTable, replicates: int, seed: int,
     if replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {replicates}")
     horizon = table.t_max if horizon is None else horizon
-    h, gamma = table.head(horizon), table.gamma_head(horizon)
-    return _peel(table.train_size, table.n_bins, replicates, replicates, table.lam, horizon,
+    h, gamma = table.head(horizon)
+    return _peel(table.train_size, table.n_bins, replicates, table.lam, horizon,
                  rng_from(seed), lambda t, stat: (h[t - 1], gamma[t - 1]))
 
 

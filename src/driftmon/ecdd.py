@@ -5,7 +5,7 @@ that is never updated during monitoring, and fires when it exceeds the
 running error-rate estimate by L estimated standard deviations. The
 rule is one-sided: only error-increasing drifts can be detected.
 ``ecdd_step`` is the one chart recursion, which ``engine`` and
-``calibration`` share.
+``calibration`` share, and ``ecdd_fires`` the one firing rule.
 """
 
 from __future__ import annotations
@@ -67,6 +67,14 @@ def ecdd_step(u, err_sum, error, t: int, p0, prior_weight: float, r: float):
     return u, err_sum, p, sigma
 
 
+def ecdd_fires(u, p, sigma, limit: float):
+    """The chart fires when u > p + L sigma; with sigma = 0 it cannot fire.
+
+    ``calibration.calibrate_ecdd_limit`` counts the same charts as firing.
+    """
+    return (sigma > 0.0) & (u > p + limit * sigma)
+
+
 def ecdd_update(state: EcddState, error: int) -> tuple[float, bool]:
     """Fold one 0/1 classification error into the chart."""
     if error not in (0, 1):
@@ -77,7 +85,7 @@ def ecdd_update(state: EcddState, error: int) -> tuple[float, bool]:
     t = state.n_seen
     state.u, state.err_sum, p, sigma = ecdd_step(state.u, state.err_sum, error, t,
                                                  state.p0, state.prior_weight, state.r)
-    if state.u > p + state.limit * sigma:
+    if ecdd_fires(state.u, p, sigma, state.limit):
         state.detected = True
         state.detection_time = t
     return state.u, state.detected

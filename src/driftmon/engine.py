@@ -4,15 +4,15 @@ Replicates are prepared one at a time from their own derived seeds (so
 results match a strictly sequential run), then the time recursions are
 stepped in lockstep across all replicates with numpy. Rows that detect
 or run out of samples are dropped from the active set as the loop
-advances, on the shared kernels ``qt_ewma.ewma_step``, ``qt_ewma.fires``
-and ``ecdd.ecdd_step``.
+advances, on the shared kernels ``qt_ewma.ewma_step``, ``qt_ewma.fires``,
+``ecdd.ecdd_step`` and ``ecdd.ecdd_fires``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ecdd import ecdd_step
+from .ecdd import ecdd_fires, ecdd_step
 from .errors import ConfigError
 from .qt_ewma import ewma_step, fires
 from .seeding import tie_uniform
@@ -35,25 +35,24 @@ def batch_first_exceed(bins: np.ndarray, lengths: np.ndarray, table: ThresholdTa
     seeds = [int(s) for s in seeds]
     if len(seeds) != n_rows:
         raise ConfigError(f"got {len(seeds)} seeds for {n_rows} rows")
-    thresholds, gamma = table.head(t_pad), table.gamma_head(t_pad)
+    thresholds, gamma = table.head(t_pad)
     z = np.full((n_rows, table.n_bins), 1.0 / table.n_bins)
+    stat = np.zeros(n_rows)
     out = np.zeros(n_rows, dtype=np.int64)
     active = np.arange(n_rows)
     for t in range(1, t_pad + 1):
         has_sample = lengths[active] >= t
         if not has_sample.all():
-            active = active[has_sample]
-            z = z[has_sample]
+            active, z, stat = active[has_sample], z[has_sample], stat[has_sample]
         if active.size == 0:
             break
-        stat = ewma_step(z, (np.arange(active.size), bins[active, t - 1]), table.lam)
+        stat = ewma_step(z, stat, (np.arange(active.size), bins[active, t - 1]), table.lam)
         det = fires(stat, thresholds[t - 1], gamma[t - 1],
                     lambda tied: np.array([tie_uniform(seeds[active[i]], t) for i in tied]))
         if det.any():
             out[active[det]] = t
             keep = ~det
-            active = active[keep]
-            z = z[keep]
+            active, z, stat = active[keep], z[keep], stat[keep]
     return out
 
 
@@ -74,7 +73,7 @@ def ecdd_first_exceed(errors: np.ndarray, p0: np.ndarray, prior_weight: float,
             break
         u, err_sum, p, sigma = ecdd_step(u, err_sum, errors[active, t - 1], t, p0,
                                          prior_weight, r)
-        det = u > p + limit * sigma
+        det = ecdd_fires(u, p, sigma, limit)
         if det.any():
             out[active[det]] = t
             keep = ~det

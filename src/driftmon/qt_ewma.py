@@ -2,10 +2,14 @@
 
 The detector keeps one exponentially weighted frequency Z_k per bin,
 updates them as each sample arrives, and compares the Pearson-like
-divergence of Z from the uniform target bin probabilities against a
-calibrated, time-varying threshold, randomized at the threshold itself
-(see ``thresholds``). The recursion ``ewma_step`` and the rule ``fires``
-are the one copy that the detector, ``engine`` and ``calibration`` run.
+divergence S = K sum_k (Z_k - 1/K)^2 of Z from the uniform target bin
+probabilities against a calibrated, time-varying threshold, randomized
+at the threshold itself (see ``thresholds``). S is carried from step to
+step, not summed over the bins, so it depends on the bin pattern alone:
+relabeling the bins leaves every S_t bit for bit the same, and the tie
+rule at the threshold sees equal statistics as equal. The recursion
+``ewma_step`` and the rule ``fires`` are the one copy that the detector,
+``engine`` and ``calibration`` run.
 """
 
 from __future__ import annotations
@@ -23,16 +27,22 @@ from .thresholds import ThresholdTable
 DEFAULT_LAMBDA = 0.03
 
 
-def ewma_step(z: np.ndarray, index, lam: float):
-    """Z <- (1 - lam) Z + lam e_b in place; return S = sum_k (Z_k - 1/K)^2 K.
+def ewma_step(z: np.ndarray, stat, index, lam: float):
+    """Z <- (1 - lam) Z + lam e_b in place; return the next S from ``stat``.
 
-    ``z``: 1-D with ``index`` a bin, or one row per detector with
-    ``index`` a (rows, bins) pair of arrays, giving one S per row.
+    S' = (1 - lam)^2 S + 2 lam (1 - lam) K (z_b - 1/K) + lam^2 (K - 1),
+    with z_b the hit bin's frequency before the update: S = K sum_k
+    (Z_k - 1/K)^2 follows it exactly while Z sums to 1, and S_1 =
+    lam^2 (K - 1) for every first bin. ``z``: 1-D with ``index`` a bin and ``stat`` a
+    scalar, or one row per detector with ``index`` a (rows, bins) pair of
+    arrays and ``stat`` one S per row.
     """
+    k = z.shape[-1]
+    stat = ((1.0 - lam) ** 2 * stat + 2.0 * lam * (1.0 - lam) * k * (z[index] - 1.0 / k)
+            + lam * lam * (k - 1))
     z *= 1.0 - lam
     z[index] += lam
-    pi = 1.0 / z.shape[-1]
-    return ((z - pi) ** 2 / pi).sum(axis=-1)
+    return stat
 
 
 def fires(stat: np.ndarray, h: float, gamma: float, tie_uniforms) -> np.ndarray:
@@ -51,11 +61,11 @@ class QtEwmaDetector:
     """Sequential detector; one instance per stream.
 
     State: Z (length-K vector of EWMA bin frequencies), sample counter t,
-    and the last computed statistic. Step t fires when S_t > h_t, or when
-    S_t == h_t and U_t < gamma_t, where U_t = ``tie_uniform(hist.seed, t)``
-    is drawn only on a tie; the draws therefore depend on the histogram
-    seed and the step alone. After a detection the detector freezes;
-    restart by constructing a new instance.
+    and the statistic S_t, which the next step carries forward. Step t
+    fires when S_t > h_t, or when S_t == h_t and U_t < gamma_t, where
+    U_t = ``tie_uniform(hist.seed, t)`` is drawn only on a tie; the draws
+    therefore depend on the histogram seed and the step alone. After a
+    detection the detector freezes; restart by constructing a new instance.
     """
 
     def __init__(self, hist: QuantTreeHistogram, lam: float, thresholds: ThresholdTable):
@@ -90,11 +100,11 @@ class QtEwmaDetector:
             return self.last_statistic, True
         self.t += 1
         t = self.t
-        stat = float(ewma_step(self.z, bin_index, self.lam))
+        stat = float(ewma_step(self.z, self.last_statistic, bin_index, self.lam))
         self.last_statistic = stat
-        h = self.thresholds.at(t)
+        h, gamma = self.thresholds.at(t)
         # only S_t >= h_t can fire; the shared rule decides those steps
-        if stat >= h and fires(np.array([stat]), h, self.thresholds.gamma_at(t),
+        if stat >= h and fires(np.array([stat]), h, gamma,
                                lambda tied: tie_uniform(self.hist.seed, t))[0]:
             self.detected = True
             self.detection_time = t
@@ -127,9 +137,8 @@ def run_stream(detector: QtEwmaDetector, data, trace_path=None) -> Optional[int]
             k = locate_bin(detector.hist, row)
             stat, detected = detector.update_from_bin(k)
             if writer is not None:
-                writer.writerow(
-                    [detector.t, k, repr(stat), repr(detector.thresholds.at(detector.t)), int(detected)]
-                )
+                h, _ = detector.thresholds.at(detector.t)
+                writer.writerow([detector.t, k, repr(stat), repr(h), int(detected)])
             if detected:
                 return detector.detection_time
     finally:

@@ -37,8 +37,7 @@ class ThresholdTable:
     replicates: int
     seed: int
     thresholds: np.ndarray = field(repr=False)
-    tail_rule: str = TAIL_CONSTANT
-    gamma: np.ndarray | None = field(default=None, repr=False)
+    gamma: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         h = np.asarray(self.thresholds, dtype=float)
@@ -48,10 +47,7 @@ class ThresholdTable:
             )
         if not np.all(h > 0.0):
             raise FormatError("thresholds must be strictly positive")
-        if self.tail_rule != TAIL_CONSTANT:
-            raise FormatError(f"unknown tail rule {self.tail_rule!r}")
-        g = np.zeros(self.t_max) if self.gamma is None else self.gamma
-        g = np.asarray(g, dtype=float)
+        g = np.asarray(self.gamma, dtype=float)
         if g.shape != (self.t_max,):
             raise FormatError(
                 f"gamma vector has length {g.size}, expected t_max={self.t_max}"
@@ -65,29 +61,17 @@ class ThresholdTable:
     def alpha(self) -> float:
         return 1.0 / self.arl0_target
 
-    def _index(self, t: int) -> int:
+    def at(self, t: int) -> tuple[float, float]:
+        """(h_t, gamma_t) for the t-th sample (1-based); constant beyond t_max."""
         if t < 1:
             raise InputError(f"threshold index must be >= 1, got {t}")
-        return min(t, self.t_max) - 1
+        i = min(t, self.t_max) - 1
+        return float(self.thresholds[i]), float(self.gamma[i])
 
-    def at(self, t: int) -> float:
-        """Threshold for the t-th sample (1-based); constant beyond t_max."""
-        return float(self.thresholds[self._index(t)])
-
-    def gamma_at(self, t: int) -> float:
-        """Probability of firing on a tie S_t == h_t; same tail rule as ``at``."""
-        return float(self.gamma[self._index(t)])
-
-    def head(self, horizon: int) -> np.ndarray:
-        """Thresholds for t = 1..horizon as an array, tail rule applied."""
-        return self.thresholds[self._head_index(horizon)]
-
-    def gamma_head(self, horizon: int) -> np.ndarray:
-        """Tie probabilities for t = 1..horizon, tail rule applied."""
-        return self.gamma[self._head_index(horizon)]
-
-    def _head_index(self, horizon: int) -> np.ndarray:
-        return np.minimum(np.arange(1, horizon + 1), self.t_max) - 1
+    def head(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+        """(h, gamma) for t = 1..horizon as arrays, constant beyond t_max."""
+        i = np.minimum(np.arange(1, horizon + 1), self.t_max) - 1
+        return self.thresholds[i], self.gamma[i]
 
 
 def table_to_dict(table: ThresholdTable) -> dict:
@@ -102,7 +86,7 @@ def table_to_dict(table: ThresholdTable) -> dict:
         "t_max": table.t_max,
         "replicates": table.replicates,
         "seed": table.seed,
-        "tail_rule": table.tail_rule,
+        "tail_rule": TAIL_CONSTANT,
         "thresholds": [float(h) for h in table.thresholds],
         "gamma": [float(g) for g in table.gamma],
     }
@@ -116,6 +100,8 @@ def table_from_dict(payload: dict) -> ThresholdTable:
                               "rule and misses alpha at the first steps; recalibrate it")
         if version != TABLE_FORMAT_VERSION:
             raise FormatError(f"unsupported table format_version {version!r}")
+        if payload["tail_rule"] != TAIL_CONSTANT:
+            raise FormatError(f"unknown tail rule {payload['tail_rule']!r}")
         return ThresholdTable(
             n_bins=int(payload["n_bins"]),
             lam=float(payload["lambda"]),
@@ -125,7 +111,6 @@ def table_from_dict(payload: dict) -> ThresholdTable:
             replicates=int(payload["replicates"]),
             seed=int(payload["seed"]),
             thresholds=np.asarray(payload["thresholds"], dtype=float),
-            tail_rule=str(payload["tail_rule"]),
             gamma=np.asarray(payload["gamma"], dtype=float),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -62,15 +62,17 @@ def bin_counts(hist, data) -> np.ndarray:
 
 
 def tree_batch_training_counts(n_train, n_bins, seed) -> np.ndarray:
-    """Training counts per bin of one tree from the vectorized builder.
+    """Sorted training counts per bin of one tree from the vectorized builder.
 
     Regenerates the sorted training row the builder consumed from
-    ``rng_from(seed)`` and counts it into the tree's intervals.
+    ``rng_from(seed)`` and counts it into the tree's intervals. The
+    builder carries no bin labels, so only the sorted counts compare with
+    another builder's.
     """
     x = np.sort(rng_from(seed).random((1, n_train)), axis=1)[0]
-    edges, perm = _uniform_tree_batch(n_train, n_bins, 1, rng_from(seed))
+    edges = _uniform_tree_batch(n_train, n_bins, 1, rng_from(seed))
     idx = (x[:, None] > edges[0]).sum(axis=1)
-    return np.bincount(perm[0][idx], minlength=n_bins)
+    return np.sort(np.bincount(idx, minlength=n_bins))
 
 
 def stationary_trajectory(train_size, n_bins, lam, horizon, seed) -> np.ndarray:
@@ -82,8 +84,11 @@ def stationary_trajectory(train_size, n_bins, lam, horizon, seed) -> np.ndarray:
     training = rng_from(derive_seed(seed, 0)).random((train_size, 1))
     hist = build_quanttree(training, n_bins, derive_seed(seed, 1))
     stream = rng_from(derive_seed(seed, 2)).random((horizon, 1))
-    z = np.full(n_bins, 1.0 / n_bins)
-    return np.array([ewma_step(z, b, lam) for b in locate_bins(hist, stream)])
+    z, stat, traj = np.full(n_bins, 1.0 / n_bins), 0.0, []
+    for b in locate_bins(hist, stream):
+        stat = ewma_step(z, stat, b, lam)
+        traj.append(stat)
+    return np.array(traj)
 
 
 def exceedance_z_scores(table, exceed, at_risk):

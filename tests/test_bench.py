@@ -89,7 +89,7 @@ def test_delay_degenerate_when_no_valid_detection(small_table):
     # unreachable thresholds: nothing ever fires, so no valid delays
     mute = ThresholdTable(
         n_bins=16, lam=0.03, arl0_target=50.0, train_size=64, t_max=2,
-        replicates=10_000, seed=0, thresholds=np.array([1e6, 1e6]),
+        replicates=10_000, seed=0, thresholds=np.array([1e6, 1e6]), gamma=np.zeros(2),
     )
     cfg = GaussianMixtureConfig(means=np.array([[0.0, 0.0], [3.0, 0.0]]), tau=60)
     method = CdmMethod(table=mute, n_bins=16, train_per_class=64)
@@ -152,7 +152,7 @@ def test_grid_requires_cells_and_tau(small_table):
 def test_config_hash_is_stable():
     table = ThresholdTable(
         n_bins=4, lam=0.1, arl0_target=20.0, train_size=8, t_max=2,
-        replicates=10_000, seed=0, thresholds=np.array([0.5, 0.5]),
+        replicates=10_000, seed=0, thresholds=np.array([0.5, 0.5]), gamma=np.zeros(2),
     )
     payload = {"table": table, "arr": np.arange(3), "x": 1.5}
     assert config_hash(payload) == config_hash(dict(reversed(list(payload.items()))))

@@ -13,6 +13,7 @@ from conftest import (
 from driftmon import (
     CalibrationError,
     ConfigError,
+    ThresholdTable,
     build_quanttree,
     calibrate_ecdd_limit,
     calibrate_thresholds,
@@ -115,16 +116,34 @@ def test_replay_exceedance_tracks_alpha(small_table):
     assert np.all(np.abs(z) <= family_wise_bound(len(z)))
 
 
+def test_replay_memory_does_not_grow_with_the_replicates():
+    # histograms are built TREE_CHUNK = 20k at a time, so 4x the replicates
+    # stay under the same bound (sorting 100k x 64 training uniforms in one
+    # go would take about 98 MB)
+    table = ThresholdTable(n_bins=2, lam=0.03, arl0_target=50.0, train_size=64, t_max=2,
+                           replicates=10_000, seed=0, thresholds=np.full(2, 1e6),
+                           gamma=np.zeros(2))
+    peaks = []
+    for replicates in (25_000, 100_000):
+        tracemalloc.start()
+        try:
+            replay_exceedance(table, replicates, seed=1, horizon=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 32 * 2**20
+
+
 def test_uniform_tree_batch_allocates_exactly():
     # the sorted training row the builder consumed lands the same per-bin
     # allocation as the generic builder gives
     seed, n_train, n_bins = 321, 64, 8
-    edges, perm = _uniform_tree_batch(n_train, n_bins, 1, rng_from(seed))
-    assert sorted(perm[0].tolist()) == list(range(n_bins))
+    edges = _uniform_tree_batch(n_train, n_bins, 1, rng_from(seed))
+    assert edges.shape == (1, n_bins - 1)
     assert np.all(np.diff(edges[0]) > 0)
     training = rng_from(seed).random((n_train, 1))
     expected = bin_counts(build_quanttree(training, n_bins, seed), training)
-    assert tree_batch_training_counts(n_train, n_bins, seed).tolist() == expected.tolist()
+    assert tree_batch_training_counts(n_train, n_bins, seed).tolist() == sorted(expected.tolist())
 
 
 def test_ecdd_limit_monotone_in_target():

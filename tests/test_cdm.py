@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import bin_counts
@@ -209,9 +211,12 @@ def test_drifted_class_attribution(small_table):
         if detection and detection.t_star > cfg.tau:
             detections += 1
             hits += detection.m_star == 2
-    # target-50 table: a fair share of runs alarm before tau=20 and are
-    # discarded; among valid detections attribution should favor class 2
-    assert detections > 15
+    # target-50 table: a run is valid only with no false alarm in the 20
+    # labeled rows before tau, with probability (1 - 1/50)^20 = 0.668, so
+    # valid runs are Binomial(30, 0.668): mean 20.0, sd 2.6; the bound sits
+    # 3 sd below the mean. Among valid detections attribution favors class 2
+    p_valid = (1 - small_table.alpha) ** cfg.tau
+    assert detections >= 30 * p_valid - 3 * math.sqrt(30 * p_valid * (1 - p_valid))
     assert hits / detections >= 0.8
 
 

@@ -52,6 +52,17 @@ def test_zero_error_stream_never_detects():
         assert not detected
 
 
+def test_zero_sigma_never_fires():
+    # with no prior weight a correct first prediction gives p = 0 and
+    # sigma = 0 while u = 0.8 p0 > 0: the limit calibration counts such a
+    # chart as not firing, and so must the online and the batch chart
+    state = ecdd_init(0.1, 0.2, 3.0, prior_weight=0.0)
+    u, detected = ecdd_update(state, 0)
+    assert u == pytest.approx(0.08)
+    assert not detected
+    assert ecdd_first_exceed(np.zeros((1, 5), dtype=np.uint8), 0.1, 0.0, 0.2, 3.0)[0] == 0
+
+
 def test_update_rejects_non_binary():
     state = ecdd_init(0.1, 0.2, 2.0)
     with pytest.raises(InputError):

@@ -22,10 +22,12 @@ def test_ewma_step_rows_match_detector(small_table):
         expected.append(stat)
         if det.detected:
             break
-    z = np.full((3, 16), 1 / 16)
+    z, stat, traj = np.full((3, 16), 1 / 16), np.zeros(3), []
     rows = np.arange(3)
-    traj = np.array([ewma_step(z, (rows, np.full(3, b)), 0.03)
-                     for b in seq[: len(expected)]])
+    for b in seq[: len(expected)]:
+        stat = ewma_step(z, stat, (rows, np.full(3, b)), 0.03)
+        traj.append(stat)
+    traj = np.array(traj)
     for i in range(3):
         assert np.array_equal(traj[:, i], np.array(expected))  # bit-identical
 
@@ -61,7 +63,7 @@ def test_batch_first_exceed_respects_lengths():
     bins = np.zeros((3, 50), dtype=np.int16)  # constant bin 0 forces detection
     table = ThresholdTable(n_bins=16, lam=0.03, arl0_target=50.0, train_size=64,
                            t_max=50, replicates=10_000, seed=0,
-                           thresholds=np.full(50, 0.2))
+                           thresholds=np.full(50, 0.2), gamma=np.zeros(50))
     seeds = [1, 2, 3]
     out = batch_first_exceed(bins, np.array([50, 50, 0]), table, seeds)
     t_cross = int(out[0])
@@ -78,16 +80,18 @@ def test_ecdd_first_exceed_matches_sequential():
     errors = (rng.random((n_rows, horizon)) < 0.1).astype(np.uint8)
     p0 = np.full(n_rows, 0.1)
     limit = 2.0
-    batch = ecdd_first_exceed(errors, p0, 100.0, 0.2, limit)
-    for i in range(n_rows):
-        state = ecdd_init(0.1, 0.2, limit, prior_weight=100.0)
-        found = 0
-        for t in range(1, horizon + 1):
-            _, detected = ecdd_update(state, int(errors[i, t - 1]))
-            if detected:
-                found = t
-                break
-        assert batch[i] == found
+    # prior weight 0: sigma = 0 until the first error, and neither chart fires there
+    for prior_weight in (100.0, 0.0):
+        batch = ecdd_first_exceed(errors, p0, prior_weight, 0.2, limit)
+        for i in range(n_rows):
+            state = ecdd_init(0.1, 0.2, limit, prior_weight=prior_weight)
+            found = 0
+            for t in range(1, horizon + 1):
+                _, detected = ecdd_update(state, int(errors[i, t - 1]))
+                if detected:
+                    found = t
+                    break
+            assert batch[i] == found
 
 
 def test_ecdd_limit_calibration_first_exceed_matches_batch():
@@ -116,10 +120,13 @@ def test_batch_first_exceed_statistic_order_of_operations(small_table):
     # the statistic decides)
     seq = rng_from(9).integers(16, size=300).astype(np.int16)
     strict = replace(small_table, gamma=np.zeros(small_table.t_max))
-    thresholds = strict.head(300)
+    thresholds, _ = strict.head(300)
     batch = batch_first_exceed(seq[None, :], np.array([300]), strict, [0])
-    z = np.full(16, 1 / 16)
-    traj = np.array([ewma_step(z, int(b), 0.03) for b in seq])
+    z, stat, traj = np.full(16, 1 / 16), 0.0, []
+    for b in seq:
+        stat = ewma_step(z, stat, int(b), 0.03)
+        traj.append(stat)
+    traj = np.array(traj)
     crossings = np.flatnonzero(traj > thresholds)
     expected = int(crossings[0] + 1) if crossings.size else 0
     assert expected > 0

@@ -9,8 +9,10 @@ from driftmon import (
     QtEwmaDetector,
     ThresholdTable,
     build_quanttree,
+    calibrate_thresholds,
     run_stream,
 )
+from driftmon.qt_ewma import ewma_step
 from driftmon.seeding import rng_from
 
 
@@ -37,27 +39,58 @@ def test_constructor_validation(hist, small_table):
         QtEwmaDetector(hist, 0.05, small_table)  # lambda mismatch with table
     bad_bins = ThresholdTable(
         n_bins=32, lam=0.03, arl0_target=50.0, train_size=64, t_max=3,
-        replicates=10_000, seed=1, thresholds=np.array([1.0, 1.0, 1.0]),
+        replicates=10_000, seed=1, thresholds=np.array([1.0, 1.0, 1.0]), gamma=np.zeros(3),
     )
     with pytest.raises(ConfigError):
         QtEwmaDetector(hist, 0.03, bad_bins)
     bad_train = ThresholdTable(
         n_bins=16, lam=0.03, arl0_target=50.0, train_size=999, t_max=3,
-        replicates=10_000, seed=1, thresholds=np.array([1.0, 1.0, 1.0]),
+        replicates=10_000, seed=1, thresholds=np.array([1.0, 1.0, 1.0]), gamma=np.zeros(3),
     )
     with pytest.raises(ConfigError):
         QtEwmaDetector(hist, 0.03, bad_train)
 
 
 def test_first_statistic_is_bin_independent(hist, small_table):
-    # T_1 = lam^2 (1-pi)/pi for every possible first bin, and it equals
-    # the calibrated h_1 bit for bit: the tie rule at the threshold relies
-    # on the detector and calibration computing the statistic identically
-    for k in range(16):
-        det = QtEwmaDetector(hist, 0.03, small_table)
-        stat, _ = det.update_from_bin(k)
-        assert stat == pytest.approx(0.0135, abs=1e-12)
-        assert stat == small_table.thresholds[0]
+    # T_1 = lam^2 (1-pi)/pi = lam^2 (K-1) for every possible first bin, and
+    # it equals the calibrated h_1 bit for bit: the tie rule at the threshold
+    # relies on the detector and calibration computing the statistic
+    # identically. At K = 49, 49 * (1/49) != 1 in floats.
+    hist49 = build_quanttree(rng_from(12).standard_normal((98, 2)), 49, seed=13)
+    table49 = calibrate_thresholds(98, 49, 0.1, 50.0, t_max=50, replicates=10_000, seed=14)
+    for h, lam, table in ((hist, 0.03, small_table), (hist49, 0.1, table49)):
+        k = h.n_bins
+        for b in range(k):
+            det = QtEwmaDetector(h, lam, table)
+            stat, _ = det.update_from_bin(b)
+            assert stat == pytest.approx(lam**2 * (1 - 1 / k) / (1 / k), abs=1e-12)
+            assert stat == table.thresholds[0]
+
+
+def test_statistic_is_invariant_to_bin_relabeling():
+    # S is symmetric in the bins, and the tie rule at h_t needs equal
+    # statistics to be bit-equal: every relabeling of a bin pattern gives
+    # the same S_1, S_2, ... bit for bit, on the detector's 1-D call and on
+    # the 2-D call of the batch engine and calibration (one row per labeling)
+    rng = rng_from(15)
+    for k, lam in ((16, 0.03), (49, 0.1)):
+        hist = build_quanttree(rng_from(16).standard_normal((2 * k, 2)), k, seed=17)
+        mute = ThresholdTable(n_bins=k, lam=lam, arl0_target=50.0, train_size=2 * k,
+                              t_max=1, replicates=10_000, seed=0,
+                              thresholds=np.array([1e6]), gamma=np.zeros(1))
+        for _ in range(10):
+            pattern = rng.integers(rng.integers(2, k + 1), size=300)  # few bins to all
+            labelings = np.vstack([np.arange(k)] + [rng.permutation(k) for _ in range(7)])
+            one_d = []
+            for labels in labelings:
+                det = QtEwmaDetector(hist, lam, mute)
+                one_d.append([det.update_from_bin(int(b))[0] for b in labels[pattern]])
+            z, stat, two_d = np.full((len(labelings), k), 1 / k), np.zeros(len(labelings)), []
+            for bins in labelings[:, pattern].T:
+                stat = ewma_step(z, stat, (np.arange(len(labelings)), bins), lam)
+                two_d.append(stat)
+            assert all(traj == one_d[0] for traj in one_d)
+            assert np.array_equal(np.array(two_d).T, one_d)
 
 
 def test_z_conservation(hist, small_table):

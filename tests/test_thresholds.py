@@ -11,6 +11,7 @@ def make_table(**overrides):
     kwargs = dict(
         n_bins=16, lam=0.03, arl0_target=375.0, train_size=256, t_max=5,
         replicates=10_000, seed=1, thresholds=np.array([0.1, 0.2, 0.3, 0.4, 0.5]),
+        gamma=np.array([1.0, 0.25, 0.0, 0.5, 0.75]),
     )
     kwargs.update(overrides)
     return ThresholdTable(**kwargs)
@@ -18,27 +19,22 @@ def make_table(**overrides):
 
 def test_at_is_one_based_with_constant_tail():
     table = make_table()
-    assert table.at(1) == pytest.approx(0.1)
-    assert table.at(5) == pytest.approx(0.5)
-    assert table.at(6) == pytest.approx(0.5)
-    assert table.at(10_000) == pytest.approx(0.5)
+    assert table.at(1) == (0.1, 1.0)
+    assert table.at(5) == (0.5, 0.75)
+    assert table.at(6) == (0.5, 0.75)
+    assert table.at(10_000) == (0.5, 0.75)
     with pytest.raises(InputError):
         table.at(0)
-    table = make_table(gamma=np.array([1.0, 0.25, 0.0, 0.5, 0.75]))
-    assert table.gamma_at(1) == 1.0
-    assert table.gamma_at(5) == 0.75
-    assert table.gamma_at(10_000) == 0.75
-    with pytest.raises(InputError):
-        table.gamma_at(0)
 
 
 def test_head_applies_tail_rule():
     table = make_table()
-    assert np.allclose(table.head(7), [0.1, 0.2, 0.3, 0.4, 0.5, 0.5, 0.5])
-    assert np.allclose(table.head(3), [0.1, 0.2, 0.3])
-    assert np.array_equal(table.gamma_head(7), np.zeros(7))  # gamma defaults to 0
-    table = make_table(gamma=np.array([1.0, 0.25, 0.0, 0.5, 0.75]))
-    assert np.array_equal(table.gamma_head(7), [1.0, 0.25, 0.0, 0.5, 0.75, 0.75, 0.75])
+    h, gamma = table.head(7)
+    assert np.array_equal(h, [0.1, 0.2, 0.3, 0.4, 0.5, 0.5, 0.5])
+    assert np.array_equal(gamma, [1.0, 0.25, 0.0, 0.5, 0.75, 0.75, 0.75])
+    h, gamma = table.head(3)
+    assert np.array_equal(h, [0.1, 0.2, 0.3])
+    assert np.array_equal(gamma, [1.0, 0.25, 0.0])
 
 
 def test_alpha():
@@ -50,8 +46,6 @@ def test_construction_validation():
         make_table(thresholds=np.array([0.1, 0.2]))  # wrong length
     with pytest.raises(FormatError):
         make_table(thresholds=np.array([0.1, 0.2, -0.3, 0.4, 0.5]))
-    with pytest.raises(FormatError):
-        make_table(tail_rule="polynomial")
     with pytest.raises(FormatError):
         make_table(gamma=np.array([0.1, 0.2]))  # wrong length
     with pytest.raises(FormatError):
@@ -98,6 +92,11 @@ def test_format_version_and_field_checks():
     payload = table_to_dict(make_table())
     del payload["thresholds"]
     with pytest.raises(FormatError):
+        table_from_dict(payload)
+    payload = table_to_dict(make_table())
+    assert payload["tail_rule"] == "constant"
+    payload["tail_rule"] = "polynomial"
+    with pytest.raises(FormatError, match="tail rule"):
         table_from_dict(payload)
 
 
