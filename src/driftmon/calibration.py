@@ -5,11 +5,14 @@ not on which labels the bins carry (``qt_ewma.ewma_step`` carries S, so
 this holds bit for bit), thresholds can be calibrated on cheap 1-D
 uniform surrogates: each replicate builds a fresh histogram on uniform
 training data, numbers its intervals from the left, and streams fresh
-uniforms through the recursion. The peeling quantile scheme then sets
-(h_t, gamma_t) so that the conditional probability of firing under the
-randomized rule (S_t > h_t, or S_t == h_t with probability gamma_t) is
-a constant alpha at every step, including the first steps where the
-statistic takes only a handful of values.
+uniforms through the recursion. A step costs O(survivors): each draw
+finds its interval by a binary search over its replicate's sorted
+edges, the recursion touches one weight per survivor, and only the
+survivors' row index and statistic are compacted. The peeling quantile
+scheme then sets (h_t, gamma_t) so that the conditional probability of
+firing under the randomized rule (S_t > h_t, or S_t == h_t with
+probability gamma_t) is a constant alpha at every step, including the
+first steps where the statistic takes only a handful of values.
 Calibration and replay share the peeling loop ``_peel`` over
 ``qt_ewma.ewma_step`` and ``qt_ewma.fires``. The ECDD limit is solved
 exactly, with no search, from the running-maximum records of charts
@@ -44,7 +47,8 @@ def _uniform_tree_batch(n_train: int, n_bins: int, n_rep: int,
     1-D data, up to the bin labels, which the statistic never sees.
     """
     pi = uniform_probs(n_bins)
-    x = np.sort(rng.random((n_rep, n_train)), axis=1)
+    x = rng.random((n_rep, n_train))
+    x.sort(axis=1)  # in place: one (n_rep, n_train) array, not two
     rows = np.arange(n_rep)
     lo = np.zeros(n_rep, dtype=np.int64)
     hi = np.full(n_rep, n_train, dtype=np.int64)
@@ -66,32 +70,57 @@ def _uniform_tree_batch(n_train: int, n_bins: int, n_rep: int,
     return edges
 
 
+def _interval_index(edges: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``(u[:, None] > edges[rows]).sum(axis=1)``, in log2 of the row width gathers.
+
+    ``edges``: (replicates, 2^m - 1), each row sorted and padded above
+    every ``u``. A branchless binary search: the interval index only
+    grows, by 2^(m-1), ..., 2, 1 wherever ``u`` exceeds the edge there.
+    It makes a subset of the same comparisons ``u > edge``, so the result
+    is exact, draws on an edge included.
+    """
+    width = edges.shape[1]
+    flat = edges.reshape(-1)
+    first = rows * width
+    pos = first.copy()
+    step = (width + 1) // 2
+    while step:
+        pos += (u > flat[pos + (step - 1)]) * step
+        step //= 2
+    return pos - first
+
+
 def _peel(train_size: int, n_bins: int, replicates: int, lam: float, horizon: int,
           rng: np.random.Generator, rule) -> tuple[np.ndarray, np.ndarray]:
     """Build the replicates' histograms, ``TREE_CHUNK`` at a time, then peel.
 
     Each step streams fresh uniforms through the survivors, ``rule(t,
     stat)`` gives (h_t, gamma_t), and those that fire are removed; tie
-    uniforms follow the step's sample draws. Returns (exceedances,
-    at_risk) per step.
+    uniforms follow the step's sample draws. The (replicates, K) edges
+    and weights stay in place, indexed by the survivors' rows. Returns
+    (exceedances, at_risk) per step.
     """
-    edges = np.vstack([_uniform_tree_batch(train_size, n_bins,
-                                           min(TREE_CHUNK, replicates - start), rng)
-                       for start in range(0, replicates, TREE_CHUNK)])
-    z = np.full((replicates, n_bins), 1.0 / n_bins)
+    edges = np.empty((replicates, (1 << (n_bins - 1).bit_length()) - 1))
+    for start in range(0, replicates, TREE_CHUNK):
+        stop = min(start + TREE_CHUNK, replicates)
+        edges[start:stop, :n_bins - 1] = _uniform_tree_batch(train_size, n_bins,
+                                                             stop - start, rng)
+        edges[start:stop, n_bins - 1:] = 2.0  # padding above every uniform
+    w = np.full((replicates, n_bins), 1.0 / n_bins)
+    scale = 1.0
     stat = np.zeros(replicates)
+    alive = np.arange(replicates)
     exceed = np.zeros(horizon, dtype=np.int64)
     at_risk = np.zeros(horizon, dtype=np.int64)
     for t in range(1, horizon + 1):
-        n_alive = edges.shape[0]
-        at_risk[t - 1] = n_alive
-        b = (rng.random(n_alive)[:, None] > edges).sum(axis=1)
-        stat = ewma_step(z, stat, (np.arange(n_alive), b), lam)
+        at_risk[t - 1] = alive.size
+        b = _interval_index(edges, alive, rng.random(alive.size))
+        stat, scale = ewma_step(w, scale, stat, alive * n_bins + b, lam)
         h_t, gamma_t = rule(t, stat)
         fire = fires(stat, h_t, gamma_t, lambda tied: rng.random(tied.size))
         exceed[t - 1] = int(fire.sum())
         keep = ~fire
-        edges, z, stat = edges[keep], z[keep], stat[keep]
+        alive, stat = alive[keep], stat[keep]
     return exceed, at_risk
 
 
@@ -122,6 +151,8 @@ def calibrate_thresholds(train_size: int, n_bins: int, lam: float, arl0_target: 
         raise ConfigError(f"t_max must be >= 5/lambda = {5.0 / lam:.0f}, got {t_max}")
     if arl0_target < 2.0:
         raise ConfigError(f"arl0_target must be >= 2, got {arl0_target}")
+    if n_bins < 2:
+        raise ConfigError(f"n_bins must be >= 2, got {n_bins}")
     if train_size < n_bins:
         raise ConfigError(f"train_size {train_size} < n_bins {n_bins}")
 

@@ -124,7 +124,7 @@ class KnnClassifier:
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = _check_width(x, self.train_x.shape[1])
         out = np.empty(len(x), dtype=np.int64)
-        chunk = max(1, 2_000_000 // max(1, len(self.train_x)))
+        chunk = max(1, 2_000_000 // max(1, self.train_x.size))  # caps the (rows, n_train, d) difference
         for start in range(0, len(x), chunk):
             block = x[start:start + chunk]
             d2 = ((block[:, None, :] - self.train_x[None, :, :]) ** 2).sum(axis=2)

@@ -84,9 +84,9 @@ def stationary_trajectory(train_size, n_bins, lam, horizon, seed) -> np.ndarray:
     training = rng_from(derive_seed(seed, 0)).random((train_size, 1))
     hist = build_quanttree(training, n_bins, derive_seed(seed, 1))
     stream = rng_from(derive_seed(seed, 2)).random((horizon, 1))
-    z, stat, traj = np.full(n_bins, 1.0 / n_bins), 0.0, []
+    w, scale, stat, traj = np.full(n_bins, 1.0 / n_bins), 1.0, 0.0, []
     for b in locate_bins(hist, stream):
-        stat = ewma_step(z, stat, b, lam)
+        stat, scale = ewma_step(w, scale, stat, b, lam)
         traj.append(stat)
     return np.array(traj)
 

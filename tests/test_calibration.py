@@ -19,7 +19,7 @@ from driftmon import (
     calibrate_thresholds,
     replay_exceedance,
 )
-from driftmon.calibration import _uniform_tree_batch
+from driftmon.calibration import _interval_index, _uniform_tree_batch
 from driftmon.engine import ecdd_first_exceed
 from driftmon.seeding import rng_from
 
@@ -67,6 +67,8 @@ def test_calibrate_preconditions():
         calibrate_thresholds(64, 16, 1.5, 50.0, t_max=170, replicates=10_000)
     with pytest.raises(ConfigError):
         calibrate_thresholds(8, 16, 0.03, 50.0, t_max=170, replicates=10_000)
+    with pytest.raises(ConfigError, match="n_bins"):
+        calibrate_thresholds(64, 1, 0.03, 50.0, t_max=170, replicates=10_000)
 
 
 def test_survivor_floor_raises():
@@ -144,6 +146,25 @@ def test_uniform_tree_batch_allocates_exactly():
     training = rng_from(seed).random((n_train, 1))
     expected = bin_counts(build_quanttree(training, n_bins, seed), training)
     assert tree_batch_training_counts(n_train, n_bins, seed).tolist() == sorted(expected.tolist())
+
+
+def test_interval_index_matches_the_compare_sum():
+    # the binary search over edges padded to 2^m - 1 counts exactly the
+    # edges below each draw, draws placed on an edge and repeated edges
+    # included, for the survivors' rows in any order
+    rng = rng_from(30)
+    for k in (2, 3, 16, 32, 33, 49):
+        edges = (_uniform_tree_batch(64, k, 400, rng) if k == 16
+                 else np.sort(rng.random((400, k - 1)), axis=1))
+        edges[::7, k // 2:] = edges[::7, k // 2 - 1:k // 2]  # repeated edges
+        padded = np.full((400, (1 << (k - 1).bit_length()) - 1), 2.0)
+        padded[:, :k - 1] = edges
+        rows = rng.permutation(400)[:300]
+        u = rng.random(300)
+        on_edge = rng.random(300) < 0.3
+        u[on_edge] = edges[rows[on_edge], rng.integers(k - 1, size=int(on_edge.sum()))]
+        expected = (u[:, None] > edges[rows]).sum(axis=1)
+        assert np.array_equal(_interval_index(padded, rows, u), expected)
 
 
 def test_ecdd_limit_monotone_in_target():

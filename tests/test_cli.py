@@ -58,6 +58,14 @@ def test_calibrate_writes_loadable_table(tmp_path, capsys):
     assert "table" in capsys.readouterr().out
 
 
+def test_calibrate_refuses_one_bin(tmp_path, capsys):
+    code = main(["calibrate", "--k", "1", "--train-size", "40", "--t-max", "170",
+                 "--replicates", "10000", "--out", str(tmp_path / "table.json")])
+    assert code == EXIT_CONFIG
+    assert "n_bins must be >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "table.json").exists()
+
+
 def test_monitor_cdm_detects_planted_class2_drift(workdir, capsys):
     code = main(["monitor", "--method", "cdm", "--train", str(workdir["train"]),
                  "--stream", str(workdir["stream"]),

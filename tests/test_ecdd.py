@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,22 @@ def test_knn_vote_ties_break_to_smallest_label():
     train_y = np.array([2, 1])
     clf = KnnClassifier(2).fit(train_x, train_y)
     assert clf.predict(np.zeros((1, 2)))[0] == 1
+
+
+def test_knn_predict_memory_is_bounded_by_the_training_size():
+    # the temporaries of one chunk are bounded by n_train x d, not n_train
+    # alone: 5k rows against 512 x 8 training (137 MB at a bound of n_train)
+    rng = rng_from(4)
+    clf = KnnClassifier(5).fit(rng.standard_normal((512, 8)), rng.integers(1, 4, size=512))
+    x = rng.standard_normal((5000, 8))
+    tracemalloc.start()
+    try:
+        batch = clf.predict(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    assert np.array_equal(batch, [clf.predict(row[None])[0] for row in x])
 
 
 def test_knn_k_too_large():

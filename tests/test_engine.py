@@ -1,8 +1,9 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
-from driftmon import QtEwmaDetector, ThresholdTable, build_quanttree
+from driftmon import InputError, QtEwmaDetector, ThresholdTable, build_quanttree
 from driftmon.calibration import _ecdd_records, _mean_detection_curve
 from driftmon.ecdd import ecdd_init, ecdd_update
 from driftmon.engine import batch_first_exceed, ecdd_first_exceed
@@ -22,10 +23,10 @@ def test_ewma_step_rows_match_detector(small_table):
         expected.append(stat)
         if det.detected:
             break
-    z, stat, traj = np.full((3, 16), 1 / 16), np.zeros(3), []
+    w, scale, stat, traj = np.full((3, 16), 1 / 16), 1.0, np.zeros(3), []
     rows = np.arange(3)
     for b in seq[: len(expected)]:
-        stat = ewma_step(z, stat, (rows, np.full(3, b)), 0.03)
+        stat, scale = ewma_step(w, scale, stat, rows * 16 + b, 0.03)
         traj.append(stat)
     traj = np.array(traj)
     for i in range(3):
@@ -72,6 +73,15 @@ def test_batch_first_exceed_respects_lengths():
     # a row one step shorter than the crossing time cannot fire
     short = batch_first_exceed(bins, np.array([50, t_cross - 1, 0]), table, seeds)
     assert short[1] == 0
+
+
+def test_batch_first_exceed_refuses_out_of_range_bins(small_table):
+    # with flat (row, bin) indexing, bin K would update the next row
+    bins = np.zeros((3, 20), dtype=np.int16)
+    for bad in (16, -1):
+        bins[1, 4] = bad
+        with pytest.raises(InputError, match="bin indices"):
+            batch_first_exceed(bins, np.full(3, 20), small_table, [1, 2, 3])
 
 
 def test_ecdd_first_exceed_matches_sequential():
@@ -122,9 +132,9 @@ def test_batch_first_exceed_statistic_order_of_operations(small_table):
     strict = replace(small_table, gamma=np.zeros(small_table.t_max))
     thresholds, _ = strict.head(300)
     batch = batch_first_exceed(seq[None, :], np.array([300]), strict, [0])
-    z, stat, traj = np.full(16, 1 / 16), 0.0, []
+    w, scale, stat, traj = np.full(16, 1 / 16), 1.0, 0.0, []
     for b in seq:
-        stat = ewma_step(z, stat, int(b), 0.03)
+        stat, scale = ewma_step(w, scale, stat, int(b), 0.03)
         traj.append(stat)
     traj = np.array(traj)
     crossings = np.flatnonzero(traj > thresholds)

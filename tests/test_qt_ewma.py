@@ -6,13 +6,15 @@ import pytest
 
 from driftmon import (
     ConfigError,
+    InputError,
     QtEwmaDetector,
     ThresholdTable,
     build_quanttree,
     calibrate_thresholds,
     run_stream,
 )
-from driftmon.qt_ewma import ewma_step
+from driftmon.engine import batch_first_exceed
+from driftmon.qt_ewma import SCALE_FLOOR, ewma_step
 from driftmon.seeding import rng_from
 
 
@@ -85,12 +87,81 @@ def test_statistic_is_invariant_to_bin_relabeling():
             for labels in labelings:
                 det = QtEwmaDetector(hist, lam, mute)
                 one_d.append([det.update_from_bin(int(b))[0] for b in labels[pattern]])
-            z, stat, two_d = np.full((len(labelings), k), 1 / k), np.zeros(len(labelings)), []
+            w, scale, stat, two_d = (np.full((len(labelings), k), 1 / k), 1.0,
+                                     np.zeros(len(labelings)), [])
             for bins in labelings[:, pattern].T:
-                stat = ewma_step(z, stat, (np.arange(len(labelings)), bins), lam)
+                stat, scale = ewma_step(w, scale, stat, np.arange(len(labelings)) * k + bins,
+                                        lam)
                 two_d.append(stat)
             assert all(traj == one_d[0] for traj in one_d)
             assert np.array_equal(np.array(two_d).T, one_d)
+
+
+def test_update_from_bin_refuses_a_bad_index_before_moving(hist, small_table):
+    det = QtEwmaDetector(hist, 0.03, small_table)
+    for b in (3, 3, 7):
+        det.update_from_bin(b)
+    t, z, stat = det.t, det.z, det.last_statistic
+    for bad in (16, -1, 2.0, np.float64(1.0), "3", None):
+        with pytest.raises(InputError, match="bin index"):
+            det.update_from_bin(bad)
+        assert det.t == t and det.last_statistic == stat
+        assert np.array_equal(det.z, z)
+    det.update_from_bin(np.int64(15))  # numpy integers are bin indices too
+    assert det.t == t + 1
+
+
+def test_lazy_scale_tracks_the_eager_recursion():
+    # Z = scale * w against Z <- (1 - lam) Z + lam e_b computed in full at
+    # every step, across folds of the scale at lam = 0.5
+    rng = rng_from(18)
+    for k, lam, steps in ((16, 0.03, 2000), (32, 0.5, 1500)):
+        w, scale, stat, eager = np.full(k, 1 / k), 1.0, 0.0, np.full(k, 1 / k)
+        for b in rng.integers(k, size=steps):
+            stat, scale = ewma_step(w, scale, stat, int(b), lam)
+            eager *= 1.0 - lam
+            eager[b] += lam
+            assert np.abs(w * scale - eager).max() < 1e-12
+
+
+def test_paths_stay_bit_identical_across_a_fold():
+    # at lam = 0.5 the scale passes SCALE_FLOOR within 700 steps and folds
+    # into w; the detector, a 2-D ewma_step call (one row per relabeling of
+    # the pattern) and batch_first_exceed still give the same S bit for bit
+    k, lam, steps = 16, 0.5, 700
+    assert (1.0 - lam) ** steps < SCALE_FLOOR
+    rng = rng_from(19)
+    hist = build_quanttree(rng_from(20).standard_normal((2 * k, 2)), k, seed=21)
+    mute = ThresholdTable(n_bins=k, lam=lam, arl0_target=50.0, train_size=2 * k,
+                          t_max=steps, replicates=10_000, seed=0,
+                          thresholds=np.full(steps, 1e6), gamma=np.zeros(steps))
+    pattern = rng.integers(k, size=steps)
+    labelings = np.vstack([np.arange(k)] + [rng.permutation(k) for _ in range(5)])
+    det, one_d, folded = QtEwmaDetector(hist, lam, mute), [], False
+    for b in pattern:
+        scale = det.scale
+        one_d.append(det.update_from_bin(int(b))[0])
+        folded |= det.scale > scale
+    assert folded
+    rows = np.arange(len(labelings))
+    w, scale, stat, two_d = np.full((len(labelings), k), 1 / k), 1.0, np.zeros(len(rows)), []
+    for bins in labelings[:, pattern].T:
+        stat, scale = ewma_step(w, scale, stat, rows * k + bins, lam)
+        two_d.append(stat)
+    assert np.array_equal(np.array(two_d).T, np.tile(one_d, (len(rows), 1)))
+    # batch S_T == detector S_T: a table muted but at T fires every row at T
+    # when it fires on ties (gamma 1), and no row when only S_T > h_T fires
+    bins = labelings[:, pattern].astype(np.int16)
+    lengths = np.full(len(rows), steps)
+    for t in (600, 665, 666, steps):
+        h = mute.thresholds.copy()
+        h[t - 1] = one_d[t - 1]
+        for gamma_t, expected in ((1.0, t), (0.0, 0)):
+            gamma = np.zeros(steps)
+            gamma[t - 1] = gamma_t
+            table = replace(mute, thresholds=h, gamma=gamma)
+            out = batch_first_exceed(bins, lengths, table, list(range(len(rows))))
+            assert np.all(out == expected)
 
 
 def test_z_conservation(hist, small_table):
