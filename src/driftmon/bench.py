@@ -28,19 +28,17 @@ from .datastreams import (
 )
 from .engine import batch_first_exceed, ecdd_first_exceed
 from .errors import ConfigError, DriftmonError
-from .qt_ewma import DEFAULT_LAMBDA, QtEwmaDetector
+from .qt_ewma import QtEwmaDetector
 from .quanttree import locate_bins
 from .seeding import derive_seed
-from .thresholds import ThresholdTable
+from .thresholds import ThresholdTable, table_to_dict
 
 
 @dataclass
 class CdmMethod:
     """Per-class monitoring (or the pooled single-histogram baseline)."""
 
-    table: ThresholdTable
-    n_bins: int = 16
-    lam: float = DEFAULT_LAMBDA
+    table: ThresholdTable  # fixes K and lambda
     train_per_class: int = 256
     pooled: bool = False  # merge all labels: monitor the overall distribution
     name: str = "cdm"
@@ -109,10 +107,7 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer, np.floating)):
         return obj.item()
     if isinstance(obj, ThresholdTable):
-        return {
-            "n_bins": obj.n_bins, "lambda": obj.lam, "arl0": obj.arl0_target,
-            "train_size": obj.train_size, "seed": obj.seed,
-        }
+        return table_to_dict(obj)
     if hasattr(obj, "__dict__"):
         return {k: v for k, v in vars(obj).items()}
     raise TypeError(f"not hashable for config: {type(obj)}")
@@ -135,7 +130,7 @@ def _cdm_replicate(method: CdmMethod, cfg: GaussianMixtureConfig, length: int,
     tx, ty = sample_training(cfg, method.train_per_class, derive_seed(rep_seed, 0))
     if method.pooled:
         ty = np.ones_like(ty)
-    hists = fit_class_histograms(tx, ty, method.n_bins, derive_seed(rep_seed, 1))
+    hists = fit_class_histograms(tx, ty, method.table.n_bins, derive_seed(rep_seed, 1))
     stream = generate_stream(cfg, length, derive_seed(rep_seed, 2))
     labels = np.ones(len(stream), dtype=np.int64) if method.pooled else stream.y
     return hists, stream, labels
@@ -173,7 +168,7 @@ def _run_cdm_sequential(method: CdmMethod, cfg: GaussianMixtureConfig, replicate
     t_star, m_star = np.zeros((2, replicates), dtype=np.int64)
     for i in range(replicates):
         hists, stream, labels = _cdm_replicate(method, cfg, length, derive_seed(seed, i))
-        monitor = CdmMonitor({m: QtEwmaDetector(h, method.lam, method.table)
+        monitor = CdmMonitor({m: QtEwmaDetector(h, method.table)
                               for m, h in hists.items()})
         for j in range(len(stream)):
             detection = monitor.process(stream.x[j], int(labels[j]))
@@ -225,16 +220,6 @@ def _dispatch(method, cfg, replicates, length, seed, engine):
             raise ConfigError(
                 f"training size per histogram {per_hist} does not match "
                 f"the threshold table's train_size {method.table.train_size}"
-            )
-        if method.n_bins != method.table.n_bins:
-            raise ConfigError(
-                f"n_bins {method.n_bins} does not match the threshold "
-                f"table's n_bins {method.table.n_bins}"
-            )
-        if method.lam != method.table.lam:
-            raise ConfigError(
-                f"lambda {method.lam} does not match the threshold "
-                f"table's lambda {method.table.lam}"
             )
         runner = _run_cdm_batch if engine == "batch" else _run_cdm_sequential
     elif isinstance(method, EcddMethod):

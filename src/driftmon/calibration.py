@@ -21,6 +21,9 @@ stepped by ``ecdd.ecdd_step``.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 from .ecdd import DEFAULT_PRIOR_WEIGHT, ecdd_step
@@ -30,7 +33,6 @@ from .quanttree import _bin_allocation, uniform_probs
 from .seeding import rng_from
 from .thresholds import ThresholdTable
 
-DEFAULT_T_MAX = 500
 DEFAULT_REPLICATES = 100_000
 SURVIVOR_FLOOR = 1000  # fewest replicates a quantile step may rest on
 TREE_CHUNK = 20_000  # histograms built per vectorized batch
@@ -90,15 +92,17 @@ def _interval_index(edges: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.nd
     return pos - first
 
 
-def _peel(train_size: int, n_bins: int, replicates: int, lam: float, horizon: int,
+def _peel(train_size: int, n_bins: int, replicates: int, lam: float, horizon: int | None,
           rng: np.random.Generator, rule) -> tuple[np.ndarray, np.ndarray]:
     """Build the replicates' histograms, ``TREE_CHUNK`` at a time, then peel.
 
     Each step streams fresh uniforms through the survivors, ``rule(t,
     stat)`` gives (h_t, gamma_t), and those that fire are removed; tie
-    uniforms follow the step's sample draws. The (replicates, K) edges
+    uniforms follow the step's sample draws. Peeling ends after
+    ``horizon`` steps, or at the first step whose rule returns None
+    (the only end when ``horizon`` is None). The (replicates, K) edges
     and weights stay in place, indexed by the survivors' rows. Returns
-    (exceedances, at_risk) per step.
+    (exceedances, at_risk) per completed step.
     """
     edges = np.empty((replicates, (1 << (n_bins - 1).bit_length()) - 1))
     for start in range(0, replicates, TREE_CHUNK):
@@ -110,22 +114,23 @@ def _peel(train_size: int, n_bins: int, replicates: int, lam: float, horizon: in
     scale = 1.0
     stat = np.zeros(replicates)
     alive = np.arange(replicates)
-    exceed = np.zeros(horizon, dtype=np.int64)
-    at_risk = np.zeros(horizon, dtype=np.int64)
-    for t in range(1, horizon + 1):
-        at_risk[t - 1] = alive.size
+    exceed, at_risk = [], []
+    for t in itertools.count(1) if horizon is None else range(1, horizon + 1):
         b = _interval_index(edges, alive, rng.random(alive.size))
         stat, scale = ewma_step(w, scale, stat, alive * n_bins + b, lam)
-        h_t, gamma_t = rule(t, stat)
-        fire = fires(stat, h_t, gamma_t, lambda tied: rng.random(tied.size))
-        exceed[t - 1] = int(fire.sum())
+        step_rule = rule(t, stat)
+        if step_rule is None:
+            break
+        fire = fires(stat, *step_rule, lambda tied: rng.random(tied.size))
+        at_risk.append(alive.size)
+        exceed.append(int(fire.sum()))
         keep = ~fire
         alive, stat = alive[keep], stat[keep]
-    return exceed, at_risk
+    return np.array(exceed, dtype=np.int64), np.array(at_risk, dtype=np.int64)
 
 
 def calibrate_thresholds(train_size: int, n_bins: int, lam: float, arl0_target: float,
-                         t_max: int = DEFAULT_T_MAX,
+                         t_max: int | None = None,
                          replicates: int = DEFAULT_REPLICATES,
                          seed: int = 0) -> ThresholdTable:
     """Peeling quantile calibration of the threshold sequence h_1..h_t_max.
@@ -142,12 +147,21 @@ def calibrate_thresholds(train_size: int, n_bins: int, lam: float, arl0_target: 
     alpha at every step. Replicates above h_t are removed, and each tied
     one with probability gamma_t. Beyond t_max the last entries are
     reused.
+
+    Without ``t_max`` the table holds every step calibrated on at least
+    ``SURVIVOR_FLOOR`` replicates, about ln(replicates / SURVIVOR_FLOOR)
+    * arl0_target steps. Past its end a table holds its last entries
+    while the hazard keeps falling below alpha (the survivors are the
+    slow-firing replicates), so a shorter table overshoots the target
+    ARL0. ``t_max`` caps the length: the capped table equals the first
+    ``t_max`` steps of the uncapped one. Either way the table must reach
+    5 / lam steps, the EWMA memory.
     """
     if replicates < 10_000:
         raise ConfigError(f"replicates must be >= 10000, got {replicates}")
     if not 0.0 < lam < 1.0:
         raise ConfigError(f"lambda must be in (0, 1), got {lam}")
-    if t_max < 5.0 / lam:
+    if t_max is not None and t_max < 5.0 / lam:
         raise ConfigError(f"t_max must be >= 5/lambda = {5.0 / lam:.0f}, got {t_max}")
     if arl0_target < 2.0:
         raise ConfigError(f"arl0_target must be >= 2, got {arl0_target}")
@@ -157,22 +171,25 @@ def calibrate_thresholds(train_size: int, n_bins: int, lam: float, arl0_target: 
         raise ConfigError(f"train_size {train_size} < n_bins {n_bins}")
 
     alpha = 1.0 / arl0_target
-    h = np.empty(t_max)
-    gamma = np.empty(t_max)
+    needed = t_max if t_max is not None else math.ceil(5.0 / lam)
+    h, gamma = [], []
 
-    def quantile_rule(t: int, stat: np.ndarray) -> tuple[float, float]:
+    def quantile_rule(t: int, stat: np.ndarray) -> tuple[float, float] | None:
         n_alive = stat.size
         if n_alive < SURVIVOR_FLOOR:
+            if t_max is None and t > needed:
+                return None  # steps 1..t-1 make the table
             raise CalibrationError(
-                f"only {n_alive} surviving replicates at step {t}; "
-                f"increase replicates or reduce t_max"
+                f"only {n_alive} surviving replicates at step {t} of the {needed} "
+                f"the table needs; increase replicates"
             )
         rank = int(np.ceil((1.0 - alpha) * n_alive)) - 1
         h_t = float(np.partition(stat, rank)[rank])
         n_above = int((stat > h_t).sum())
         n_tied = int((stat == h_t).sum())
         gamma_t = min(max((alpha * n_alive - n_above) / n_tied, 0.0), 1.0)
-        h[t - 1], gamma[t - 1] = h_t, gamma_t
+        h.append(h_t)
+        gamma.append(gamma_t)
         return h_t, gamma_t
 
     _peel(train_size, n_bins, replicates, lam, t_max, rng_from(seed), quantile_rule)
@@ -181,11 +198,10 @@ def calibrate_thresholds(train_size: int, n_bins: int, lam: float, arl0_target: 
         lam=float(lam),
         arl0_target=float(arl0_target),
         train_size=int(train_size),
-        t_max=int(t_max),
         replicates=int(replicates),
         seed=int(seed),
-        thresholds=h,
-        gamma=gamma,
+        thresholds=np.array(h),
+        gamma=np.array(gamma),
     )
 
 

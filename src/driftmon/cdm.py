@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .qt_ewma import DEFAULT_LAMBDA, QtEwmaDetector
+from .qt_ewma import QtEwmaDetector
 from .quanttree import build_quanttree
 from .thresholds import ThresholdTable
 
@@ -111,18 +111,19 @@ def fit_class_histograms(train_x, train_y, n_bins: int, seed: int) -> dict[int, 
     return histograms
 
 
-def fit_cdm(train_x, train_y, thresholds: ThresholdTable, n_bins: int = 16,
-            lam: float = DEFAULT_LAMBDA, seed: int = 0,
+def fit_cdm(train_x, train_y, thresholds: ThresholdTable, n_bins: int | None = None,
+            lam: float | None = None, seed: int = 0,
             lenient_labels: bool = False) -> CdmMonitor:
     """Split the training set by class and build the per-class detectors.
 
-    All classes share ``thresholds``, so the table must match the
-    per-class training size and bin count.
+    All classes share ``thresholds``, which fixes K and lambda, so the
+    table must match the per-class training size. ``n_bins`` and ``lam``
+    default to the table's; a value given that differs raises
+    ``ConfigError``.
     """
-    histograms = fit_class_histograms(train_x, train_y, n_bins, seed)
-    detectors = {
-        m: QtEwmaDetector(hist, lam, thresholds) for m, hist in histograms.items()
-    }
+    thresholds.require(n_bins=n_bins, lam=lam)
+    histograms = fit_class_histograms(train_x, train_y, thresholds.n_bins, seed)
+    detectors = {m: QtEwmaDetector(hist, thresholds) for m, hist in histograms.items()}
     return CdmMonitor(detectors, lenient_labels=lenient_labels)
 
 

@@ -43,7 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
     cal.add_argument("--arl0", type=float, default=375.0)
     cal.add_argument("--train-size", type=int, required=True)
-    cal.add_argument("--t-max", type=int, default=500)
+    cal.add_argument("--t-max", type=int,
+                     help="cap on the table length (default: calibrate every step "
+                          "that keeps enough replicates at risk)")
     cal.add_argument("--replicates", type=int, default=100_000)
     cal.add_argument("--seed", type=int, default=0)
     cal.add_argument("--out", required=True)
@@ -53,8 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
     mon.add_argument("--train", required=True, help="labeled training CSV")
     mon.add_argument("--stream", required=True, help="stream CSV (labels optional)")
     mon.add_argument("--thresholds", help="threshold table (cdm/qtewma)")
-    mon.add_argument("--k", dest="bins", type=int, default=16, help="histogram bins K")
-    mon.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
+    mon.add_argument("--k", dest="bins", type=int,
+                     help="histogram bins K (default: the table's; must match it)")
+    mon.add_argument("--lambda", dest="lam", type=float,
+                     help="EWMA lambda (default: the table's; must match it)")
     mon.add_argument("--seed", type=int, default=0)
     mon.add_argument("--lenient-labels", action="store_true")
     mon.add_argument("--classifier", choices=["knn", "lda"], default="knn")
@@ -165,10 +169,10 @@ def _method_from_config(raw: dict, seed: int):
     if kind in ("cdm", "qtewma"):
         if "table" not in raw:
             raise ConfigError(f"method {kind}: missing 'table' path")
+        table = load_table(raw["table"])
+        table.require(n_bins=raw.get("bins"), lam=raw.get("lambda"))
         return bench.CdmMethod(
-            table=load_table(raw["table"]),
-            n_bins=int(raw.get("bins", 16)),
-            lam=float(raw.get("lambda", DEFAULT_LAMBDA)),
+            table=table,
             train_per_class=int(raw.get("train_per_class", 256)),
             pooled=(kind == "qtewma"),
             name=raw.get("name", kind),

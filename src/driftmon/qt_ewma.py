@@ -71,7 +71,8 @@ def fires(stat: np.ndarray, h: float, gamma: float, tie_uniforms) -> np.ndarray:
 
 
 class QtEwmaDetector:
-    """Sequential detector; one instance per stream.
+    """Sequential detector; one instance per stream, stepped at the
+    table's lambda.
 
     State: the EWMA bin frequencies Z = scale * w (``z`` reads them),
     the sample counter t, and the statistic S_t, which the next step
@@ -82,17 +83,11 @@ class QtEwmaDetector:
     constructing a new instance.
     """
 
-    def __init__(self, hist: QuantTreeHistogram, lam: float, thresholds: ThresholdTable):
-        if not 0.0 < lam < 1.0:
-            raise ConfigError(f"lambda must be in (0, 1), got {lam}")
+    def __init__(self, hist: QuantTreeHistogram, thresholds: ThresholdTable):
         if thresholds.n_bins != hist.n_bins:
             raise ConfigError(
                 f"threshold table n_bins={thresholds.n_bins} does not match "
                 f"histogram n_bins={hist.n_bins}"
-            )
-        if thresholds.lam != lam:
-            raise ConfigError(
-                f"threshold table lambda={thresholds.lam} does not match lambda={lam}"
             )
         if thresholds.train_size != hist.train_size:
             raise ConfigError(
@@ -100,7 +95,7 @@ class QtEwmaDetector:
                 f"histogram train_size={hist.train_size}"
             )
         self.hist = hist
-        self.lam = float(lam)
+        self.lam = thresholds.lam
         self.thresholds = thresholds
         self.w = uniform_probs(hist.n_bins)
         self.scale = 1.0

@@ -2,8 +2,9 @@
 
 A table holds the time-varying detection thresholds h_1..h_t_max, the
 tie probabilities gamma_1..gamma_t_max and the metadata identifying the
-Monte Carlo simulation that produced them; beyond t_max the last entries
-are held constant.
+Monte Carlo simulation that produced them; t_max is the length of the
+arrays, and beyond it the last entries are held constant. The table
+fixes K and lambda: detectors and monitors read both from it.
 
 The detection rule is randomized at the atoms of the statistic: step t
 fires when S_t > h_t, or when S_t == h_t and an independent uniform U_t
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import ConfigError, FormatError, InputError
 from .seeding import RNG_ALGORITHM
 
 TABLE_FORMAT_VERSION = 2
@@ -33,39 +34,53 @@ class ThresholdTable:
     lam: float
     arl0_target: float
     train_size: int
-    t_max: int
     replicates: int
     seed: int
     thresholds: np.ndarray = field(repr=False)
     gamma: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if not 0.0 < self.lam < 1.0:
+            raise FormatError(f"table lambda must be in (0, 1), got {self.lam}")
+        if self.n_bins < 2:
+            raise FormatError(f"table n_bins must be >= 2, got {self.n_bins}")
+        if self.train_size < self.n_bins:
+            raise FormatError(f"table train_size {self.train_size} < n_bins {self.n_bins}")
+        if not self.arl0_target >= 2.0:
+            raise FormatError(f"table arl0_target must be >= 2, got {self.arl0_target}")
         h = np.asarray(self.thresholds, dtype=float)
-        if h.shape != (self.t_max,):
-            raise FormatError(
-                f"threshold vector has length {h.size}, expected t_max={self.t_max}"
-            )
+        g = np.asarray(self.gamma, dtype=float)
+        if h.ndim != 1 or h.size == 0 or g.shape != h.shape:
+            raise FormatError(f"thresholds {h.shape} and gamma {g.shape} must be "
+                              f"non-empty vectors of one length")
         if not np.all(h > 0.0):
             raise FormatError("thresholds must be strictly positive")
-        g = np.asarray(self.gamma, dtype=float)
-        if g.shape != (self.t_max,):
-            raise FormatError(
-                f"gamma vector has length {g.size}, expected t_max={self.t_max}"
-            )
         if not np.all((g >= 0.0) & (g <= 1.0)):
             raise FormatError("gamma must lie in [0, 1]")
         object.__setattr__(self, "thresholds", h)
         object.__setattr__(self, "gamma", g)
 
     @property
+    def t_max(self) -> int:
+        """Steps calibrated; the table holds its last entries beyond them."""
+        return len(self.thresholds)
+
+    @property
     def alpha(self) -> float:
         return 1.0 / self.arl0_target
+
+    def require(self, n_bins: int | None = None, lam: float | None = None) -> None:
+        """Refuse a K or lambda given besides the table that differs from its own."""
+        for name, given, own in (("n_bins", n_bins, self.n_bins), ("lambda", lam, self.lam)):
+            if given is not None and given != own:
+                raise ConfigError(f"{name}={given} does not match the threshold "
+                                  f"table's {name}={own}")
 
     def at(self, t: int) -> tuple[float, float]:
         """(h_t, gamma_t) for the t-th sample (1-based); constant beyond t_max."""
         if t < 1:
             raise InputError(f"threshold index must be >= 1, got {t}")
-        i = min(t, self.t_max) - 1
+        i = min(t, len(self.thresholds)) - 1
         return float(self.thresholds[i]), float(self.gamma[i])
 
     def head(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
@@ -102,17 +117,20 @@ def table_from_dict(payload: dict) -> ThresholdTable:
             raise FormatError(f"unsupported table format_version {version!r}")
         if payload["tail_rule"] != TAIL_CONSTANT:
             raise FormatError(f"unknown tail rule {payload['tail_rule']!r}")
-        return ThresholdTable(
+        table = ThresholdTable(
             n_bins=int(payload["n_bins"]),
             lam=float(payload["lambda"]),
             arl0_target=float(payload["arl0_target"]),
             train_size=int(payload["train_size"]),
-            t_max=int(payload["t_max"]),
             replicates=int(payload["replicates"]),
             seed=int(payload["seed"]),
             thresholds=np.asarray(payload["thresholds"], dtype=float),
             gamma=np.asarray(payload["gamma"], dtype=float),
         )
+        if int(payload["t_max"]) != table.t_max:
+            raise FormatError(f"table t_max {payload['t_max']} does not match "
+                              f"its {table.t_max} thresholds")
+        return table
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed threshold table: {exc}") from exc
 

@@ -76,7 +76,7 @@ def ecdd_limit_bernoulli():
 @pytest.fixture(scope="module")
 def arl0_single(tab16):
     """Criterion 1 run, shared with criterion 2's coupling check."""
-    method = CdmMethod(table=tab16, n_bins=16, train_per_class=128,
+    method = CdmMethod(table=tab16, train_per_class=128,
                        pooled=True, name="qtewma")
     cfg = two_gaussian_config(delta=2.0)
     return estimate_arl0(method, cfg, 5000, 8000, seed=303)
@@ -86,8 +86,8 @@ def arl0_single(tab16):
 def delay_runs(tab16, tab32):
     """Criterion 6 runs, shared with criterion 7's attribution check."""
     cfg = two_gaussian_config(delta=2.0, class2_shift=(0.0, 1.0), tau=160)
-    cdm = CdmMethod(table=tab16, n_bins=16, train_per_class=256, name="cdm")
-    pooled = CdmMethod(table=tab32, n_bins=32, train_per_class=256,
+    cdm = CdmMethod(table=tab16, train_per_class=256, name="cdm")
+    pooled = CdmMethod(table=tab32, train_per_class=256,
                        pooled=True, name="pooled")
     return {
         "cdm": estimate_delay(cdm, cfg, 1000, seed=31, post_length=7000),
@@ -109,7 +109,7 @@ def test_criterion_01_arl0_single_detector(arl0_single):
 
 def test_criterion_02_arl0_per_class_monitor(tab16, arl0_single):
     means4 = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
-    method = CdmMethod(table=tab16, n_bins=16, train_per_class=256, name="cdm")
+    method = CdmMethod(table=tab16, train_per_class=256, name="cdm")
     details = []
     ok = True
     for label, priors in [("uniform", None),
@@ -158,7 +158,7 @@ def test_criterion_05_single_class_reduction(small_table):
         monitor = fit_cdm(train, np.ones(64, dtype=int), small_table,
                           n_bins=16, lam=0.03, seed=trial)
         hist = build_quanttree(train, 16, class_seed(trial, 1))
-        solo = QtEwmaDetector(hist, 0.03, small_table)
+        solo = QtEwmaDetector(hist, small_table)
         stream = rng.standard_normal((400, 2))
         identical = True
         for t in range(400):
@@ -210,7 +210,7 @@ def test_criterion_08_virtual_drift_contrast(tab16):
     cfg = two_gaussian_config(delta=2.0, tau=160)
     limit = calibrate_ecdd_limit(PHI_MINUS_1, 0.2, TARGET, replicates=5000, seed=42)
     methods = {
-        "cdm": CdmMethod(table=tab16, n_bins=16, train_per_class=256, name="cdm"),
+        "cdm": CdmMethod(table=tab16, train_per_class=256, name="cdm"),
         "ecdd": EcddMethod(limit=limit, classifier="lda", train_per_class=256,
                            name="ecdd"),
     }

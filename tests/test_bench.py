@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import two_gaussian_config
@@ -22,7 +24,7 @@ def cfg0():
 
 
 def test_arl0_report_is_deterministic(small_table, cfg0):
-    method = CdmMethod(table=small_table, n_bins=16, train_per_class=64)
+    method = CdmMethod(table=small_table, train_per_class=64)
     a = estimate_arl0(method, cfg0, 100, 500, seed=1)
     b = estimate_arl0(method, cfg0, 100, 500, seed=1)
     assert a.mean == b.mean
@@ -33,13 +35,13 @@ def test_arl0_report_is_deterministic(small_table, cfg0):
 
 
 def test_arl0_horizon_precondition(small_table, cfg0):
-    method = CdmMethod(table=small_table, n_bins=16, train_per_class=64)
+    method = CdmMethod(table=small_table, train_per_class=64)
     with pytest.raises(ConfigError):
         estimate_arl0(method, cfg0, 10, 400, seed=1)  # < 10x target 50
 
 
 def test_batch_equals_sequential_cdm(small_table, cfg0):
-    method = CdmMethod(table=small_table, n_bins=16, train_per_class=64)
+    method = CdmMethod(table=small_table, train_per_class=64)
     batch = estimate_arl0(method, cfg0, 30, 500, seed=2, engine="batch")
     seq = estimate_arl0(method, cfg0, 30, 500, seed=2, engine="sequential")
     assert np.array_equal(batch.t_star, seq.t_star)
@@ -47,7 +49,7 @@ def test_batch_equals_sequential_cdm(small_table, cfg0):
 
 
 def test_batch_equals_sequential_pooled(small_table, cfg0):
-    method = CdmMethod(table=small_table, n_bins=16, train_per_class=32, pooled=True)
+    method = CdmMethod(table=small_table, train_per_class=32, pooled=True)
     batch = estimate_arl0(method, cfg0, 30, 500, seed=3, engine="batch")
     seq = estimate_arl0(method, cfg0, 30, 500, seed=3, engine="sequential")
     assert np.array_equal(batch.t_star, seq.t_star)
@@ -69,7 +71,7 @@ def test_delay_excludes_false_alarms(small_table):
         post_means=np.array([[0.0, 0.0], [30.0, 0.0]]),
         tau=60,
     )
-    method = CdmMethod(table=small_table, n_bins=16, train_per_class=64)
+    method = CdmMethod(table=small_table, train_per_class=64)
     report = estimate_delay(method, cfg, 200, seed=5, post_length=400)
     # target-50 table: many runs alarm before tau=60 and must be excluded
     assert report.false_alarms > 0
@@ -80,7 +82,7 @@ def test_delay_excludes_false_alarms(small_table):
 
 
 def test_delay_requires_change_point(small_table, cfg0):
-    method = CdmMethod(table=small_table, n_bins=16, train_per_class=64)
+    method = CdmMethod(table=small_table, train_per_class=64)
     with pytest.raises(ConfigError):
         estimate_delay(method, cfg0, 10, seed=6)
 
@@ -88,11 +90,11 @@ def test_delay_requires_change_point(small_table, cfg0):
 def test_delay_degenerate_when_no_valid_detection(small_table):
     # unreachable thresholds: nothing ever fires, so no valid delays
     mute = ThresholdTable(
-        n_bins=16, lam=0.03, arl0_target=50.0, train_size=64, t_max=2,
+        n_bins=16, lam=0.03, arl0_target=50.0, train_size=64,
         replicates=10_000, seed=0, thresholds=np.array([1e6, 1e6]), gamma=np.zeros(2),
     )
     cfg = GaussianMixtureConfig(means=np.array([[0.0, 0.0], [3.0, 0.0]]), tau=60)
-    method = CdmMethod(table=mute, n_bins=16, train_per_class=64)
+    method = CdmMethod(table=mute, train_per_class=64)
     report = estimate_delay(method, cfg, 15, seed=7, post_length=100)
     assert report.degenerate
     assert report.mean is None
@@ -113,7 +115,7 @@ def test_grid_cells_lattice():
 
 def test_run_grid_experiment_small(small_table):
     cfg = two_gaussian_config(delta=3.0, tau=30)
-    methods = {"cdm": CdmMethod(table=small_table, n_bins=16, train_per_class=64)}
+    methods = {"cdm": CdmMethod(table=small_table, train_per_class=64)}
     cells = [(3.0, 0.0), (1.0, 0.0)]
     rows = run_grid_experiment(cfg, methods, replicates=40, seed=8, cells=cells,
                                post_length=300, error_samples=20_000,
@@ -133,7 +135,7 @@ def test_run_grid_experiment_small(small_table):
 def test_grid_marks_failed_cells(small_table):
     cfg = two_gaussian_config(delta=3.0, tau=30)
     # train_per_class mismatching the table's train_size breaks per cell
-    bad = CdmMethod(table=small_table, n_bins=16, train_per_class=100)
+    bad = CdmMethod(table=small_table, train_per_class=100)
     rows = run_grid_experiment(cfg, {"bad": bad}, replicates=5, seed=9,
                                cells=[(3.0, 0.0)], post_length=100,
                                error_samples=5000, error_train_per_class=128)
@@ -142,7 +144,7 @@ def test_grid_marks_failed_cells(small_table):
 
 
 def test_grid_requires_cells_and_tau(small_table):
-    method = CdmMethod(table=small_table, n_bins=16, train_per_class=64)
+    method = CdmMethod(table=small_table, train_per_class=64)
     with pytest.raises(ConfigError):
         run_grid_experiment(two_gaussian_config(tau=30), {"m": method}, 5, 0, cells=[])
     with pytest.raises(ConfigError):
@@ -151,9 +153,15 @@ def test_grid_requires_cells_and_tau(small_table):
 
 def test_config_hash_is_stable():
     table = ThresholdTable(
-        n_bins=4, lam=0.1, arl0_target=20.0, train_size=8, t_max=2,
+        n_bins=4, lam=0.1, arl0_target=20.0, train_size=8,
         replicates=10_000, seed=0, thresholds=np.array([0.5, 0.5]), gamma=np.zeros(2),
     )
     payload = {"table": table, "arr": np.arange(3), "x": 1.5}
     assert config_hash(payload) == config_hash(dict(reversed(list(payload.items()))))
     assert config_hash(payload) != config_hash({**payload, "x": 2.5})
+    # tables that share (K, lambda, ARL0, train_size, seed) but not their
+    # thresholds, length or replicate count are different configurations
+    for other in (replace(table, thresholds=np.array([0.5, 0.6])),
+                  replace(table, thresholds=np.full(3, 0.5), gamma=np.zeros(3)),
+                  replace(table, replicates=20_000)):
+        assert config_hash({**payload, "table": other}) != config_hash(payload)

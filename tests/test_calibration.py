@@ -19,7 +19,7 @@ from driftmon import (
     calibrate_thresholds,
     replay_exceedance,
 )
-from driftmon.calibration import _interval_index, _uniform_tree_batch
+from driftmon.calibration import SURVIVOR_FLOOR, _interval_index, _uniform_tree_batch
 from driftmon.engine import ecdd_first_exceed
 from driftmon.seeding import rng_from
 
@@ -72,9 +72,42 @@ def test_calibrate_preconditions():
 
 
 def test_survivor_floor_raises():
-    # alpha = 0.2 burns 10k replicates below the floor long before t_max
+    # alpha = 0.2 burns 10k replicates below the floor long before t_max,
+    # and without a cap long before the 5/lambda steps a table must reach
     with pytest.raises(CalibrationError):
         calibrate_thresholds(64, 16, 0.03, 5.0, t_max=170, replicates=10_000)
+    with pytest.raises(CalibrationError, match="of the 167 the table needs"):
+        calibrate_thresholds(64, 16, 0.03, 5.0, replicates=10_000)
+
+
+def test_default_table_ends_at_the_survivor_floor():
+    table = calibrate_thresholds(40, 8, 0.1, 50.0, replicates=10_000, seed=3)
+    # the replay repeats calibration's draws, so it shows who was at risk
+    # one step past the table's end
+    _, at_risk = replay_exceedance(table, table.replicates, table.seed,
+                                   horizon=table.t_max + 1)
+    assert at_risk[-2] >= SURVIVOR_FLOOR > at_risk[-1]
+    # a cap keeps the same draws: a capped table is a prefix of the default
+    capped = calibrate_thresholds(40, 8, 0.1, 50.0, t_max=60, replicates=10_000, seed=3)
+    assert capped.t_max == 60
+    assert np.array_equal(capped.thresholds, table.thresholds[:60])
+    assert np.array_equal(capped.gamma, table.gamma[:60])
+
+
+def test_default_table_meets_the_run_length_target():
+    # past a table's end its last (h, gamma) hold while the survivors fire
+    # ever less often; a table that ends at the survivor floor leaves few
+    # runs out there, so the mean run length meets ARL0. A 500-step table
+    # at the same seeds gives 435.5.
+    table = calibrate_thresholds(64, 16, 0.03, 375.0, seed=0)
+    n, horizon = 60_000, 6000
+    exceed, at_risk = replay_exceedance(table, n, seed=1, horizon=horizon)
+    t = np.arange(1, horizon + 1, dtype=float)
+    censored = at_risk[-1] - exceed[-1]
+    mean = at_risk.sum() / n  # mean of min(run length, horizon)
+    second = ((exceed * t * t).sum() + censored * float(horizon) ** 2) / n
+    se = np.sqrt((second - mean * mean) / n)
+    assert abs(mean - 375.0) <= 0.03 * 375.0 + 2 * se
 
 
 def test_calibration_determinism(small_table):
@@ -122,7 +155,7 @@ def test_replay_memory_does_not_grow_with_the_replicates():
     # histograms are built TREE_CHUNK = 20k at a time, so 4x the replicates
     # stay under the same bound (sorting 100k x 64 training uniforms in one
     # go would take about 98 MB)
-    table = ThresholdTable(n_bins=2, lam=0.03, arl0_target=50.0, train_size=64, t_max=2,
+    table = ThresholdTable(n_bins=2, lam=0.03, arl0_target=50.0, train_size=64,
                            replicates=10_000, seed=0, thresholds=np.full(2, 1e6),
                            gamma=np.zeros(2))
     peaks = []

@@ -10,6 +10,7 @@ from driftmon import (
     GaussianMixtureConfig,
     InputError,
     QtEwmaDetector,
+    ThresholdTable,
     build_quanttree,
     fit_cdm,
     run_labeled_stream,
@@ -38,6 +39,22 @@ def test_fit_builds_one_histogram_per_class(small_table):
         assert det.hist.seed == class_seed(10, m)
 
 
+def test_fit_reads_k_and_lambda_from_the_table():
+    # a K = 32 table fixes the bin count: no n_bins needed, a different one refused
+    table = ThresholdTable(n_bins=32, lam=0.05, arl0_target=50.0, train_size=64,
+                           replicates=10_000, seed=0, thresholds=np.full(3, 1e6),
+                           gamma=np.zeros(3))
+    x, y = make_training(per_class=64, n_classes=2)
+    monitor = fit_cdm(x, y, table, seed=3)
+    for m, det in monitor.detectors.items():
+        assert det.hist.n_bins == 32 and det.lam == 0.05
+        assert bin_counts(det.hist, x[y == m]).tolist() == [2] * 32
+    assert fit_cdm(x, y, table, n_bins=32, lam=0.05, seed=3).n_classes == 2
+    for given in ({"n_bins": 16}, {"lam": 0.03}):
+        with pytest.raises(ConfigError, match="does not match the threshold table"):
+            fit_cdm(x, y, table, seed=3, **given)
+
+
 def test_class_with_too_few_samples_names_class():
     x, y = make_training(per_class=64, n_classes=2)
     y = y.copy()
@@ -62,7 +79,7 @@ def test_m1_reduction_is_bit_identical(small_table):
         monitor = fit_cdm(train, np.ones(64, dtype=int), small_table, n_bins=16,
                           lam=0.03, seed=trial)
         hist = build_quanttree(train, 16, class_seed(trial, 1))
-        solo = QtEwmaDetector(hist, 0.03, small_table)
+        solo = QtEwmaDetector(hist, small_table)
         stream = rng.standard_normal((600, 2))
         for t in range(600):
             detection = monitor.process(stream[t], 1)
@@ -223,7 +240,7 @@ def test_drifted_class_attribution(small_table):
 def test_arl0_preserved_across_label_marginals(small_table):
     # per-class thresholds index class-local time, so the empirical mean
     # detection time barely moves between balanced and 90/10 labels
-    method = CdmMethod(table=small_table, n_bins=16, lam=0.03, train_per_class=64)
+    method = CdmMethod(table=small_table, train_per_class=64)
     means = []
     for priors in ([0.5, 0.5], [0.9, 0.1]):
         cfg = GaussianMixtureConfig(

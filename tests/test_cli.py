@@ -88,6 +88,18 @@ def test_monitor_is_deterministic(workdir, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_monitor_reads_k_and_lambda_from_the_table(workdir, capsys):
+    argv = ["monitor", "--method", "cdm", "--train", str(workdir["train"]),
+            "--stream", str(workdir["stream"]), "--thresholds", str(workdir["table"])]
+    assert main(argv + ["--k", "8", "--lambda", "0.03"]) == EXIT_OK
+    given = capsys.readouterr().out
+    assert main(argv) == EXIT_OK  # the K = 8 table fixes K and lambda
+    assert capsys.readouterr().out == given
+    for mismatch in (["--k", "16"], ["--lambda", "0.05"]):
+        assert main(argv + mismatch) == EXIT_CONFIG
+        assert "does not match the threshold table" in capsys.readouterr().err
+
+
 def test_monitor_qtewma_ignores_labels(workdir, capsys):
     # pooled training: 80 samples, so the table must match train size 80
     from driftmon import calibrate_thresholds

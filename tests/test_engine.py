@@ -15,7 +15,7 @@ def test_ewma_step_rows_match_detector(small_table):
     # the 2-D kernel call of the batch engine and calibration reproduces,
     # row by row, the statistics of the 1-D call an online detector makes
     hist = build_quanttree(rng_from(1).standard_normal((64, 2)), 16, seed=2)
-    det = QtEwmaDetector(hist, 0.03, small_table)
+    det = QtEwmaDetector(hist, small_table)
     seq = rng_from(3).integers(16, size=150)
     expected = []
     for b in seq:
@@ -49,7 +49,7 @@ def test_batch_first_exceed_matches_sequential(small_table):
     for table in (small_table, tie_heavy):
         batch = batch_first_exceed(bins, lengths, table, [h.seed for h in hists])
         for i in range(n_rows):
-            det = QtEwmaDetector(hists[i], 0.03, table)
+            det = QtEwmaDetector(hists[i], table)
             found = 0
             for t in range(1, int(lengths[i]) + 1):
                 _, detected = det.update_from_bin(int(bins[i, t - 1]))
@@ -63,7 +63,7 @@ def test_batch_first_exceed_matches_sequential(small_table):
 def test_batch_first_exceed_respects_lengths():
     bins = np.zeros((3, 50), dtype=np.int16)  # constant bin 0 forces detection
     table = ThresholdTable(n_bins=16, lam=0.03, arl0_target=50.0, train_size=64,
-                           t_max=50, replicates=10_000, seed=0,
+                           replicates=10_000, seed=0,
                            thresholds=np.full(50, 0.2), gamma=np.zeros(50))
     seeds = [1, 2, 3]
     out = batch_first_exceed(bins, np.array([50, 50, 0]), table, seeds)

@@ -25,7 +25,7 @@ def hist():
 
 
 def test_initial_state(hist, small_table):
-    det = QtEwmaDetector(hist, 0.03, small_table)
+    det = QtEwmaDetector(hist, small_table)
     assert np.allclose(det.z, 1 / 16)
     assert det.t == 0
     assert det.last_statistic == 0.0
@@ -33,24 +33,20 @@ def test_initial_state(hist, small_table):
 
 
 def test_constructor_validation(hist, small_table):
-    with pytest.raises(ConfigError):
-        QtEwmaDetector(hist, 0.0, small_table)
-    with pytest.raises(ConfigError):
-        QtEwmaDetector(hist, 1.0, small_table)
-    with pytest.raises(ConfigError):
-        QtEwmaDetector(hist, 0.05, small_table)  # lambda mismatch with table
+    # lambda comes from the table, which refuses one outside (0, 1) itself
+    assert QtEwmaDetector(hist, small_table).lam == small_table.lam
     bad_bins = ThresholdTable(
-        n_bins=32, lam=0.03, arl0_target=50.0, train_size=64, t_max=3,
+        n_bins=32, lam=0.03, arl0_target=50.0, train_size=64,
         replicates=10_000, seed=1, thresholds=np.array([1.0, 1.0, 1.0]), gamma=np.zeros(3),
     )
     with pytest.raises(ConfigError):
-        QtEwmaDetector(hist, 0.03, bad_bins)
+        QtEwmaDetector(hist, bad_bins)
     bad_train = ThresholdTable(
-        n_bins=16, lam=0.03, arl0_target=50.0, train_size=999, t_max=3,
+        n_bins=16, lam=0.03, arl0_target=50.0, train_size=999,
         replicates=10_000, seed=1, thresholds=np.array([1.0, 1.0, 1.0]), gamma=np.zeros(3),
     )
     with pytest.raises(ConfigError):
-        QtEwmaDetector(hist, 0.03, bad_train)
+        QtEwmaDetector(hist, bad_train)
 
 
 def test_first_statistic_is_bin_independent(hist, small_table):
@@ -63,7 +59,7 @@ def test_first_statistic_is_bin_independent(hist, small_table):
     for h, lam, table in ((hist, 0.03, small_table), (hist49, 0.1, table49)):
         k = h.n_bins
         for b in range(k):
-            det = QtEwmaDetector(h, lam, table)
+            det = QtEwmaDetector(h, table)
             stat, _ = det.update_from_bin(b)
             assert stat == pytest.approx(lam**2 * (1 - 1 / k) / (1 / k), abs=1e-12)
             assert stat == table.thresholds[0]
@@ -78,14 +74,14 @@ def test_statistic_is_invariant_to_bin_relabeling():
     for k, lam in ((16, 0.03), (49, 0.1)):
         hist = build_quanttree(rng_from(16).standard_normal((2 * k, 2)), k, seed=17)
         mute = ThresholdTable(n_bins=k, lam=lam, arl0_target=50.0, train_size=2 * k,
-                              t_max=1, replicates=10_000, seed=0,
+                              replicates=10_000, seed=0,
                               thresholds=np.array([1e6]), gamma=np.zeros(1))
         for _ in range(10):
             pattern = rng.integers(rng.integers(2, k + 1), size=300)  # few bins to all
             labelings = np.vstack([np.arange(k)] + [rng.permutation(k) for _ in range(7)])
             one_d = []
             for labels in labelings:
-                det = QtEwmaDetector(hist, lam, mute)
+                det = QtEwmaDetector(hist, mute)
                 one_d.append([det.update_from_bin(int(b))[0] for b in labels[pattern]])
             w, scale, stat, two_d = (np.full((len(labelings), k), 1 / k), 1.0,
                                      np.zeros(len(labelings)), [])
@@ -98,7 +94,7 @@ def test_statistic_is_invariant_to_bin_relabeling():
 
 
 def test_update_from_bin_refuses_a_bad_index_before_moving(hist, small_table):
-    det = QtEwmaDetector(hist, 0.03, small_table)
+    det = QtEwmaDetector(hist, small_table)
     for b in (3, 3, 7):
         det.update_from_bin(b)
     t, z, stat = det.t, det.z, det.last_statistic
@@ -133,11 +129,11 @@ def test_paths_stay_bit_identical_across_a_fold():
     rng = rng_from(19)
     hist = build_quanttree(rng_from(20).standard_normal((2 * k, 2)), k, seed=21)
     mute = ThresholdTable(n_bins=k, lam=lam, arl0_target=50.0, train_size=2 * k,
-                          t_max=steps, replicates=10_000, seed=0,
+                          replicates=10_000, seed=0,
                           thresholds=np.full(steps, 1e6), gamma=np.zeros(steps))
     pattern = rng.integers(k, size=steps)
     labelings = np.vstack([np.arange(k)] + [rng.permutation(k) for _ in range(5)])
-    det, one_d, folded = QtEwmaDetector(hist, lam, mute), [], False
+    det, one_d, folded = QtEwmaDetector(hist, mute), [], False
     for b in pattern:
         scale = det.scale
         one_d.append(det.update_from_bin(int(b))[0])
@@ -165,7 +161,7 @@ def test_paths_stay_bit_identical_across_a_fold():
 
 
 def test_z_conservation(hist, small_table):
-    det = QtEwmaDetector(hist, 0.03, small_table)
+    det = QtEwmaDetector(hist, small_table)
     rng = rng_from(3)
     for _ in range(500):
         det.update_from_bin(int(rng.integers(16)))
@@ -180,8 +176,8 @@ def test_statistic_depends_only_on_bin_sequence(small_table):
     # fired: the histogram seeds differ, and so do their tie draws)
     h1 = build_quanttree(rng_from(4).standard_normal((64, 2)), 16, seed=5)
     h2 = build_quanttree(rng_from(6).random((64, 5)) * 100, 16, seed=7)
-    d1 = QtEwmaDetector(h1, 0.03, small_table)
-    d2 = QtEwmaDetector(h2, 0.03, small_table)
+    d1 = QtEwmaDetector(h1, small_table)
+    d2 = QtEwmaDetector(h2, small_table)
     seq = rng_from(8).integers(16, size=200)
     for b in seq:
         s1, fired1 = d1.update_from_bin(int(b))
@@ -192,7 +188,7 @@ def test_statistic_depends_only_on_bin_sequence(small_table):
 
 
 def test_single_bin_stream_detects(hist, small_table):
-    det = QtEwmaDetector(hist, 0.03, small_table)
+    det = QtEwmaDetector(hist, small_table)
     stats = []
     for _ in range(300):
         stat, detected = det.update_from_bin(0)
@@ -205,7 +201,7 @@ def test_single_bin_stream_detects(hist, small_table):
 
 
 def test_detector_freezes_after_detection(hist, small_table):
-    det = QtEwmaDetector(hist, 0.03, small_table)
+    det = QtEwmaDetector(hist, small_table)
     while not det.detected:
         det.update_from_bin(0)
     t_at_detection = det.t
@@ -218,7 +214,7 @@ def test_detector_freezes_after_detection(hist, small_table):
 
 
 def test_run_stream_with_trace(hist, small_table, tmp_path):
-    det = QtEwmaDetector(hist, 0.03, small_table)
+    det = QtEwmaDetector(hist, small_table)
     data = rng_from(9).standard_normal((400, 2)) + 40.0  # far off the training mass
     trace = tmp_path / "trace.csv"
     t_star = run_stream(det, data, trace_path=trace)
@@ -235,7 +231,7 @@ def test_run_stream_without_detection(hist, small_table):
     # with no tie randomization a single sample sits exactly on h_1 and
     # cannot fire, so the stream ends first
     strict = replace(small_table, gamma=np.zeros(small_table.t_max))
-    det = QtEwmaDetector(hist, 0.03, strict)
+    det = QtEwmaDetector(hist, strict)
     assert run_stream(det, rng_from(10).standard_normal((1, 2))) is None
     assert det.t == 1
 
@@ -247,7 +243,7 @@ def test_empirical_arl0_small_target(small_table):
     for i in range(400):
         rng = rng_from(1000 + i)
         hist = build_quanttree(rng.random((64, 1)), 16, seed=2000 + i)
-        det = QtEwmaDetector(hist, 0.03, small_table)
+        det = QtEwmaDetector(hist, small_table)
         detected = False
         for t in range(1, 1200):
             _, detected = det.update(rng.random(1))

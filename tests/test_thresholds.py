@@ -9,7 +9,7 @@ from driftmon.thresholds import table_from_dict, table_to_dict
 
 def make_table(**overrides):
     kwargs = dict(
-        n_bins=16, lam=0.03, arl0_target=375.0, train_size=256, t_max=5,
+        n_bins=16, lam=0.03, arl0_target=375.0, train_size=256,
         replicates=10_000, seed=1, thresholds=np.array([0.1, 0.2, 0.3, 0.4, 0.5]),
         gamma=np.array([1.0, 0.25, 0.0, 0.5, 0.75]),
     )
@@ -42,8 +42,23 @@ def test_alpha():
 
 
 def test_construction_validation():
+    assert make_table().t_max == 5  # the length of the arrays
     with pytest.raises(FormatError):
         make_table(thresholds=np.array([0.1, 0.2]))  # wrong length
+    with pytest.raises(FormatError):
+        make_table(thresholds=np.array([]), gamma=np.array([]))
+    with pytest.raises(FormatError):
+        make_table(thresholds=np.full((5, 1), 0.1), gamma=np.zeros((5, 1)))
+    for lam in (0.0, 1.0, 1.5, -0.1, np.nan):
+        with pytest.raises(FormatError, match="lambda"):
+            make_table(lam=lam)
+    with pytest.raises(FormatError, match="n_bins"):
+        make_table(n_bins=1, train_size=8)
+    with pytest.raises(FormatError, match="train_size"):
+        make_table(train_size=15)
+    for arl0 in (1.5, np.nan):
+        with pytest.raises(FormatError, match="arl0_target"):
+            make_table(arl0_target=arl0)
     with pytest.raises(FormatError):
         make_table(thresholds=np.array([0.1, 0.2, -0.3, 0.4, 0.5]))
     with pytest.raises(FormatError):
@@ -92,6 +107,15 @@ def test_format_version_and_field_checks():
     payload = table_to_dict(make_table())
     del payload["thresholds"]
     with pytest.raises(FormatError):
+        table_from_dict(payload)
+    payload = table_to_dict(make_table())
+    assert payload["t_max"] == 5
+    payload["t_max"] = 6
+    with pytest.raises(FormatError, match="t_max"):
+        table_from_dict(payload)  # t_max is the arrays' length, not a setting
+    payload = table_to_dict(make_table())
+    payload["lambda"] = 1.5  # would fire every row at t = 1 in the batch engine
+    with pytest.raises(FormatError, match="lambda"):
         table_from_dict(payload)
     payload = table_to_dict(make_table())
     assert payload["tail_rule"] == "constant"
