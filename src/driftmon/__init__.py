@@ -27,15 +27,14 @@ from .datastreams import (
     generate_stream,
     iter_csv_stream,
     read_csv_stream,
-    sample_mixture,
     sample_training,
     skl_gaussian,
 )
 from .ecdd import (
+    EcddMonitor,
     EcddState,
     cross_val_error,
     ecdd_init,
-    ecdd_monitor_stream,
     ecdd_update,
     fit_classifier,
 )
@@ -47,7 +46,7 @@ from .errors import (
     InputError,
     NumericError,
 )
-from .qt_ewma import QtEwmaDetector, run_stream
+from .qt_ewma import QtEwmaDetector
 from .quanttree import (
     QuantTreeHistogram,
     build_quanttree,

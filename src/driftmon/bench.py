@@ -12,20 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from . import ecdd as ecdd_mod
-from .cdm import CdmMonitor, fit_class_histograms
-from .datastreams import (
-    GaussianMixtureConfig,
-    generate_stream,
-    sample_mixture,
-    sample_training,
-    skl_gaussian,
-)
+from .cdm import CdmMonitor, fit_class_histograms, run_labeled_stream
+from .datastreams import GaussianMixtureConfig, generate_stream, sample_training, skl_gaussian
 from .engine import batch_first_exceed, ecdd_first_exceed
 from .errors import ConfigError, DriftmonError
 from .qt_ewma import QtEwmaDetector
@@ -170,11 +164,9 @@ def _run_cdm_sequential(method: CdmMethod, cfg: GaussianMixtureConfig, replicate
         hists, stream, labels = _cdm_replicate(method, cfg, length, derive_seed(seed, i))
         monitor = CdmMonitor({m: QtEwmaDetector(h, method.table)
                               for m, h in hists.items()})
-        for j in range(len(stream)):
-            detection = monitor.process(stream.x[j], int(labels[j]))
-            if detection is not None:
-                t_star[i], m_star[i] = detection.t_star, detection.m_star
-                break
+        detection = run_labeled_stream(monitor, zip(stream.x, labels.tolist()))
+        if detection is not None:
+            t_star[i], m_star[i] = detection.t_star, detection.m_star
     return t_star, m_star
 
 
@@ -207,9 +199,9 @@ def _run_ecdd_sequential(method: EcddMethod, cfg: GaussianMixtureConfig,
     for i in range(replicates):
         clf, p0, stream = _ecdd_replicate(method, cfg, length, derive_seed(seed, i))
         state = ecdd_mod.ecdd_init(p0, method.r, method.limit, method.prior_weight)
-        report = ecdd_mod.ecdd_monitor_stream(clf, iter(stream), state)
-        if report["detected"]:
-            t_star[i] = report["t_star"]
+        detection = run_labeled_stream(ecdd_mod.EcddMonitor(clf, state), stream)
+        if detection is not None:
+            t_star[i] = detection.t_star
     return t_star, None
 
 
@@ -292,10 +284,14 @@ def estimate_delay(method, cfg: GaussianMixtureConfig, replicates: int, seed: in
 
 
 def estimate_error_rate(classifier, cfg: GaussianMixtureConfig, samples: int,
-                        seed: int, post: bool = False) -> float:
-    """Monte Carlo misclassification rate under the pre/post mixture."""
-    x, y = sample_mixture(cfg, samples, seed, post=post)
-    return float((classifier.predict(x) != y).mean())
+                        seed: int) -> float:
+    """Monte Carlo misclassification rate over a stream drawn from ``cfg``.
+
+    At tau = 0 every sample comes from the post-change mixture, which for
+    a ``stationary`` config is the pre-change one.
+    """
+    stream = generate_stream(cfg, samples, seed)
+    return float((classifier.predict(stream.x) != stream.y).mean())
 
 
 def grid_cells(center, x_offsets=(-1.5, 0.5), y_offsets=(-1.0, 1.0),
@@ -341,27 +337,24 @@ def run_grid_experiment(cfg_base: GaussianMixtureConfig, methods: dict,
             post_covs=cfg_base.post_covs.copy(), tau=cfg_base.tau,
         )
         skl = skl_gaussian(cfg_base.means[drift_class - 1], cov, (cx, cy), cov)
-        p1 = estimate_error_rate(err_clf, cfg_cell, error_samples,
-                                 derive_seed(seed, 900_002 + ci), post=True)
+        p1 = estimate_error_rate(err_clf, replace(cfg_cell, tau=0), error_samples,
+                                 derive_seed(seed, 900_002 + ci))
         for mi, (name, method) in enumerate(sorted(methods.items())):
             base = {
                 "mu_x": cx, "mu_y": cy, "method": name,
                 "skl": skl, "p1_minus_p0": p1 - p0,
             }
+            # a failed cell keeps every column, empty, so the CSV header fits all rows
+            result = dict.fromkeys(("mean_delay", "stderr", "detections", "false_alarms",
+                                    "censored"))
             try:
                 rep = estimate_delay(method, cfg_cell, replicates,
                                      derive_seed(seed, ci * 100 + mi),
                                      post_length=post_length)
             except DriftmonError as exc:
-                rows.append({**base, "mean_delay": None, "failed": str(exc)})
+                rows.append({**base, **result, "failed": str(exc)})
                 continue
-            rows.append({
-                **base,
-                "mean_delay": rep.mean,
-                "stderr": rep.stderr,
-                "detections": rep.detections,
-                "false_alarms": rep.false_alarms,
-                "censored": rep.censored,
-                "failed": "",
-            })
+            result.update(mean_delay=rep.mean, stderr=rep.stderr, detections=rep.detections,
+                          false_alarms=rep.false_alarms, censored=rep.censored)
+            rows.append({**base, **result, "failed": ""})
     return rows

@@ -22,7 +22,7 @@ from .thresholds import ThresholdTable
 @dataclass(frozen=True)
 class Detection:
     t_star: int   # global stream position of the detection
-    m_star: int   # class whose detector fired
+    m_star: Optional[int]  # class whose detector fired; None if the method cannot tell
 
 
 class CdmMonitor:
@@ -36,13 +36,6 @@ class CdmMonitor:
         self.global_t = 0
         self.detection: Optional[Detection] = None
         self.skipped_unknown = 0
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.detectors)
-
-    def class_counts(self) -> dict[int, int]:
-        return {m: det.t for m, det in self.detectors.items()}
 
     def process(self, x, y: int) -> Optional[Detection]:
         """Route one labeled sample to its class detector.
@@ -127,8 +120,12 @@ def fit_cdm(train_x, train_y, thresholds: ThresholdTable, n_bins: int | None = N
     return CdmMonitor(detectors, lenient_labels=lenient_labels)
 
 
-def run_labeled_stream(monitor: CdmMonitor, stream) -> Optional[Detection]:
-    """Feed (x, y) pairs (y None = unlabeled) until detection or exhaustion."""
+def run_labeled_stream(monitor, stream) -> Optional[Detection]:
+    """Feed (x, y) pairs (y None = unlabeled) until detection or exhaustion.
+
+    ``monitor`` is a ``CdmMonitor`` or an ``ecdd.EcddMonitor``; this is the
+    one loop over a labeled stream, for the CLI and the bench alike.
+    """
     for x, y in stream:
         if y is None:
             detection = monitor.process_unlabeled(x)

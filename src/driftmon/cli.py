@@ -18,8 +18,8 @@ from . import bench
 from .calibration import calibrate_ecdd_limit, calibrate_thresholds
 from .cdm import fit_cdm, run_labeled_stream
 from .datastreams import GaussianMixtureConfig, iter_csv_stream, read_csv_stream
-from .ecdd import (DEFAULT_KNN_K, DEFAULT_PRIOR_WEIGHT, DEFAULT_R, cross_val_error,
-                   ecdd_init, ecdd_monitor_stream, fit_classifier)
+from .ecdd import (DEFAULT_KNN_K, DEFAULT_PRIOR_WEIGHT, DEFAULT_R, EcddMonitor,
+                   cross_val_error, ecdd_init, fit_classifier)
 from .errors import CalibrationError, ConfigError, DriftmonError, FormatError, InputError
 from .qt_ewma import DEFAULT_LAMBDA
 from .thresholds import load_table, save_table
@@ -102,9 +102,7 @@ def cmd_monitor(args) -> int:
                           seed=args.seed, lenient_labels=args.lenient_labels)
         if args.method == "qtewma":
             stream = ((x, 1) for x, _y in stream)  # pooled: labels ignored
-        run_labeled_stream(monitor, stream)
-        report = monitor.report()
-        report["method"] = args.method
+        extra = {"method": args.method}
     else:
         clf = fit_classifier(args.classifier, train.x, train.y, k=args.knn_k)
         p0 = cross_val_error(args.classifier, train.x, train.y, seed=args.seed,
@@ -117,12 +115,12 @@ def cmd_monitor(args) -> int:
             limit = calibrate_ecdd_limit(p0_sim, args.ecdd_r, args.arl0,
                                          seed=args.seed,
                                          prior_weight=args.prior_weight)
-        state = ecdd_init(p0, args.ecdd_r, limit, prior_weight=args.prior_weight)
-        report = ecdd_monitor_stream(clf, stream, state)
-        report["method"] = "ecdd"
-        report["p0_estimate"] = p0
-        report["limit"] = limit
+        monitor = EcddMonitor(clf, ecdd_init(p0, args.ecdd_r, limit,
+                                             prior_weight=args.prior_weight))
+        extra = {"method": "ecdd", "p0_estimate": p0, "limit": limit}
 
+    run_labeled_stream(monitor, stream)
+    report = {**monitor.report(), **extra}
     json.dump(report, sys.stdout, indent=2, default=_coerce)
     print()
     return EXIT_OK
@@ -142,58 +140,89 @@ def _load_config(path) -> dict:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"config {path}: {exc}") from exc
+    _require_object(cfg, f"config {path}")
     if cfg.get("format_version") != 1:
         raise ConfigError(f"config {path}: unsupported format_version "
                           f"{cfg.get('format_version')!r}")
     return cfg
 
 
-def _mixture_from_config(raw: dict) -> GaussianMixtureConfig:
+def _require_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _field(raw: dict, name: str, convert, default=None):
+    """``convert(raw[name])``, or ``default`` if the field is absent or null.
+
+    A value ``convert`` refuses raises ConfigError naming the field.
+    """
+    value = raw.get(name)
+    if value is None:
+        return default
     try:
-        return GaussianMixtureConfig(
-            means=np.asarray(raw["means"], dtype=float),
-            covs=None if raw.get("covs") is None else np.asarray(raw["covs"], float),
-            priors=None if raw.get("priors") is None else np.asarray(raw["priors"], float),
-            post_means=None if raw.get("post_means") is None
-            else np.asarray(raw["post_means"], float),
-            post_covs=None if raw.get("post_covs") is None
-            else np.asarray(raw["post_covs"], float),
-            tau=int(raw.get("tau", 0)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"mixture config is missing field {exc}") from exc
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field {name!r}: {exc}") from exc
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _pair(value) -> tuple[float, float]:
+    low, high = map(float, value)
+    return low, high
+
+
+def _mixture_from_config(raw: dict) -> GaussianMixtureConfig:
+    _require_object(raw, "config field 'mixture'")
+    if raw.get("means") is None:
+        raise ConfigError("mixture config is missing field 'means'")
+    return GaussianMixtureConfig(
+        means=_field(raw, "means", _floats),
+        covs=_field(raw, "covs", _floats),
+        priors=_field(raw, "priors", _floats),
+        post_means=_field(raw, "post_means", _floats),
+        post_covs=_field(raw, "post_covs", _floats),
+        tau=_field(raw, "tau", int, 0),
+    )
 
 
 def _method_from_config(raw: dict, seed: int):
+    _require_object(raw, "each of the config's 'methods'")
     kind = raw.get("kind")
     if kind in ("cdm", "qtewma"):
-        if "table" not in raw:
+        if raw.get("table") is None:
             raise ConfigError(f"method {kind}: missing 'table' path")
-        table = load_table(raw["table"])
+        table = load_table(_field(raw, "table", str))
         table.require(n_bins=raw.get("bins"), lam=raw.get("lambda"))
         return bench.CdmMethod(
             table=table,
-            train_per_class=int(raw.get("train_per_class", 256)),
+            train_per_class=_field(raw, "train_per_class", int, 256),
             pooled=(kind == "qtewma"),
-            name=raw.get("name", kind),
+            name=_field(raw, "name", str, kind),
         )
     if kind == "ecdd":
-        limit = raw.get("limit")
+        r = _field(raw, "r", float, DEFAULT_R)
+        prior_weight = _field(raw, "prior_weight", float, DEFAULT_PRIOR_WEIGHT)
+        limit = _field(raw, "limit", float)
         if limit is None:
-            if "arl0" not in raw or "p0" not in raw:
+            if raw.get("arl0") is None or raw.get("p0") is None:
                 raise ConfigError("method ecdd: provide 'limit' or both 'arl0' and 'p0'")
             limit = calibrate_ecdd_limit(
-                float(raw["p0"]), float(raw.get("r", DEFAULT_R)), float(raw["arl0"]),
-                seed=seed, prior_weight=float(raw.get("prior_weight", DEFAULT_PRIOR_WEIGHT)),
+                _field(raw, "p0", float), r, _field(raw, "arl0", float),
+                seed=seed, prior_weight=prior_weight,
             )
         return bench.EcddMethod(
-            limit=float(limit),
+            limit=limit,
             classifier=raw.get("classifier", "lda"),
-            knn_k=int(raw.get("knn_k", DEFAULT_KNN_K)),
-            r=float(raw.get("r", DEFAULT_R)),
-            prior_weight=float(raw.get("prior_weight", DEFAULT_PRIOR_WEIGHT)),
-            train_per_class=int(raw.get("train_per_class", 256)),
-            name=raw.get("name", "ecdd"),
+            knn_k=_field(raw, "knn_k", int, DEFAULT_KNN_K),
+            r=r,
+            prior_weight=prior_weight,
+            train_per_class=_field(raw, "train_per_class", int, 256),
+            name=_field(raw, "name", str, "ecdd"),
         )
     raise ConfigError(f"unknown method kind {kind!r}")
 
@@ -212,10 +241,11 @@ def _write_rows(rows: list[dict], path) -> None:
 def cmd_bench(args) -> int:
     cfg = _load_config(args.config)
     mixture = _mixture_from_config(cfg.get("mixture") or {})
-    seed = int(cfg.get("seed", 0))
-    replicates = int(cfg.get("replicates", 1000))
+    seed = _field(cfg, "seed", int, 0)
+    replicates = _field(cfg, "replicates", int, 1000)
+    post_length = _field(cfg, "post_length", int, 7000)
     raw_methods = cfg.get("methods")
-    if not raw_methods:
+    if not raw_methods or not isinstance(raw_methods, list):
         raise ConfigError("config: 'methods' must be a non-empty list")
     methods = {}
     for raw in raw_methods:
@@ -223,19 +253,18 @@ def cmd_bench(args) -> int:
         methods[method.name] = method
 
     if args.experiment == "grid":
-        grid_raw = cfg.get("grid") or {}
-        drift_class = int(grid_raw.get("drift_class", 2))
+        grid_raw = _require_object(cfg.get("grid") or {}, "config field 'grid'")
+        drift_class = _field(grid_raw, "drift_class", int, 2)
         cells = bench.grid_cells(
             mixture.means[drift_class - 1],
-            x_offsets=tuple(grid_raw.get("x_offsets", (-1.5, 0.5))),
-            y_offsets=tuple(grid_raw.get("y_offsets", (-1.0, 1.0))),
-            nx=int(grid_raw.get("nx", 9)),
-            ny=int(grid_raw.get("ny", 9)),
+            x_offsets=_field(grid_raw, "x_offsets", _pair, (-1.5, 0.5)),
+            y_offsets=_field(grid_raw, "y_offsets", _pair, (-1.0, 1.0)),
+            nx=_field(grid_raw, "nx", int, 9),
+            ny=_field(grid_raw, "ny", int, 9),
         )
         rows = bench.run_grid_experiment(
             mixture, methods, replicates, seed, cells=cells,
-            drift_class=drift_class,
-            post_length=int(cfg.get("post_length", 7000)),
+            drift_class=drift_class, post_length=post_length,
         )
         _write_rows(rows, args.out)
         print(f"wrote {len(rows)} grid rows: {args.out}")
@@ -245,13 +274,11 @@ def cmd_bench(args) -> int:
     for name, method in sorted(methods.items()):
         if args.experiment == "arl0":
             report = bench.estimate_arl0(
-                method, mixture, replicates, int(cfg.get("horizon", 8000)), seed
+                method, mixture, replicates, _field(cfg, "horizon", int, 8000), seed
             )
         else:
-            report = bench.estimate_delay(
-                method, mixture, replicates, seed,
-                post_length=int(cfg.get("post_length", 7000)),
-            )
+            report = bench.estimate_delay(method, mixture, replicates, seed,
+                                          post_length=post_length)
         rows.append(report.to_dict())
     _write_rows(rows, args.out)
     print(f"wrote {len(rows)} report rows: {args.out}")

@@ -131,15 +131,6 @@ def generate_stream(cfg: GaussianMixtureConfig, length: int, seed: int) -> Label
     return LabeledStream(x=x, y=labels, labeled=np.ones(length, dtype=bool))
 
 
-def sample_mixture(cfg: GaussianMixtureConfig, n: int, seed: int,
-                   post: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n labeled points from the pre- or post-change mixture."""
-    rng = rng_from(seed)
-    labels = rng.choice(cfg.n_classes, size=n, p=cfg.priors) + 1
-    x = _mixture_draw(cfg, labels, np.full(n, post), rng)
-    return x, labels
-
-
 def sample_training(cfg: GaussianMixtureConfig, per_class: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Exactly ``per_class`` pre-change draws from every class-conditional."""
     rng = rng_from(seed)

@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .cdm import Detection
 from .errors import ConfigError, InputError, NumericError
 from .seeding import rng_from
 
@@ -226,33 +227,45 @@ def cross_val_error(kind: str, x, y, n_folds: int = 5, seed: int = 0,
     return errors / len(y)
 
 
-def ecdd_monitor_stream(classifier, stream, state: EcddState) -> dict:
-    """Run the chart over a labeled stream; the classifier stays fixed.
+class EcddMonitor:
+    """The chart over a fixed classifier, fed one stream sample at a time.
 
-    ``stream`` yields (x, y) pairs where y may be None for unlabeled
-    samples, which are skipped. Detection time is reported in global
-    stream position. Returns a detection report dict (m_star is always
-    None: the chart cannot attribute a class).
+    It keeps the monitor interface of ``cdm.CdmMonitor``: ``process``,
+    ``process_unlabeled`` and ``report``, with detection times in global
+    stream position. Unlabeled samples advance global time only. The
+    chart cannot attribute a class, so ``m_star`` is always None.
     """
-    global_t = 0
-    for x, y in stream:
-        global_t += 1
-        if y is None:
-            continue
-        error = int(classifier.predict(np.atleast_2d(np.asarray(x, dtype=float)))[0] != y)
-        _, detected = ecdd_update(state, error)
-        if detected:
-            return {
-                "detected": True,
-                "t_star": global_t,
-                "m_star": None,
-                "n_labeled": state.n_seen,
-                "statistic": state.u,
-            }
-    return {
-        "detected": False,
-        "t_star": None,
-        "m_star": None,
-        "n_labeled": state.n_seen,
-        "statistic": state.u,
-    }
+
+    def __init__(self, classifier, state: EcddState):
+        self.classifier = classifier
+        self.state = state
+        self.global_t = 0
+        self.detection: Optional[Detection] = None
+
+    def process(self, x, y: int) -> Optional[Detection]:
+        """Classify one labeled sample and fold its error into the chart.
+
+        Classifying comes first, so a rejected sample changes nothing.
+        """
+        if self.detection is not None:
+            return self.detection
+        error = int(self.classifier.predict(x)[0] != y)
+        self.global_t += 1
+        if ecdd_update(self.state, error)[1]:
+            self.detection = Detection(t_star=self.global_t, m_star=None)
+        return self.detection
+
+    def process_unlabeled(self, x) -> Optional[Detection]:
+        if self.detection is None:
+            self.global_t += 1
+        return self.detection
+
+    def report(self) -> dict:
+        det = self.detection
+        return {
+            "detected": det is not None,
+            "t_star": det.t_star if det else None,
+            "m_star": None,
+            "n_labeled": self.state.n_seen,
+            "statistic": self.state.u,
+        }

@@ -16,7 +16,6 @@ detector, ``engine`` and ``calibration`` run.
 
 from __future__ import annotations
 
-import csv
 from typing import Optional
 
 import numpy as np
@@ -138,33 +137,3 @@ class QtEwmaDetector:
         if self.detected:
             return self.last_statistic, True
         return self.update_from_bin(locate_bin(self.hist, x))
-
-
-def run_stream(detector: QtEwmaDetector, data, trace_path=None) -> Optional[int]:
-    """Feed rows of ``data`` through the detector until it fires.
-
-    Returns the 1-based detection time, or None if the stream ends first.
-    With ``trace_path`` set, writes one CSV row (t, bin, statistic,
-    threshold, detected) per processed sample.
-    """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    trace_fh = open(trace_path, "w", newline="", encoding="utf-8") if trace_path else None
-    try:
-        writer = None
-        if trace_fh is not None:
-            writer = csv.writer(trace_fh)
-            writer.writerow(["t", "bin", "statistic", "threshold", "detected"])
-        for row in data:
-            if detector.detected:
-                break
-            k = locate_bin(detector.hist, row)
-            stat, detected = detector.update_from_bin(k)
-            if writer is not None:
-                h, _ = detector.thresholds.at(detector.t)
-                writer.writerow([detector.t, k, repr(stat), repr(h), int(detected)])
-            if detected:
-                return detector.detection_time
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
-    return detector.detection_time

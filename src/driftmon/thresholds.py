@@ -8,10 +8,10 @@ fixes K and lambda: detectors and monitors read both from it.
 
 The detection rule is randomized at the atoms of the statistic: step t
 fires when S_t > h_t, or when S_t == h_t and an independent uniform U_t
-falls below gamma_t. This realizes the exceedance probability alpha
-exactly even where the statistic takes few distinct values (a single
-one at t = 1). Format version 1 tables, calibrated for the strict rule
-alone, are refused.
+falls below gamma_t. This realizes the exceedance probability
+alpha = 1 / ARL0 exactly even where the statistic takes few distinct
+values (a single one at t = 1). Format version 1 tables, calibrated for
+the strict rule alone, are refused.
 """
 
 from __future__ import annotations
@@ -64,10 +64,6 @@ class ThresholdTable:
     def t_max(self) -> int:
         """Steps calibrated; the table holds its last entries beyond them."""
         return len(self.thresholds)
-
-    @property
-    def alpha(self) -> float:
-        return 1.0 / self.arl0_target
 
     def require(self, n_bins: int | None = None, lam: float | None = None) -> None:
         """Refuse a K or lambda given besides the table that differs from its own."""

@@ -98,7 +98,7 @@ def exceedance_z_scores(table, exceed, at_risk):
     Monte Carlo error of h_t itself, estimated on the n_cal_t =
     replicates * (1 - alpha)^(t-1) calibration replicates still at risk.
     """
-    alpha = table.alpha
+    alpha = 1.0 / table.arl0_target
     n_cal = table.replicates * (1 - alpha) ** np.arange(len(at_risk))
     se = np.sqrt(alpha * (1 - alpha) * (1 / at_risk + 1 / n_cal))
     return (exceed / at_risk - alpha) / se

@@ -133,7 +133,7 @@ def test_table_metadata(small_table):
 def test_replay_exceedance_tracks_alpha(small_table):
     exceed, at_risk = replay_exceedance(small_table, 20_000, seed=900)
     assert exceed.shape == at_risk.shape == (170,)
-    alpha = small_table.alpha
+    alpha = 1.0 / small_table.arl0_target
     # survivors of step t are exactly the at-risk set of step t+1
     assert at_risk[0] == 20_000
     assert np.array_equal(at_risk[1:], at_risk[:-1] - exceed[:-1])

@@ -32,7 +32,7 @@ def make_training(per_class=64, n_classes=2, dim=2, seed=0):
 def test_fit_builds_one_histogram_per_class(small_table):
     x, y = make_training(per_class=64, n_classes=4)
     monitor = fit_cdm(x, y, small_table, n_bins=16, lam=0.03, seed=10)
-    assert monitor.n_classes == 4
+    assert len(monitor.detectors) == 4
     for m, det in monitor.detectors.items():
         counts = bin_counts(det.hist, x[y == m])
         assert counts.tolist() == [4] * 16  # 64 points over 16 bins
@@ -49,7 +49,7 @@ def test_fit_reads_k_and_lambda_from_the_table():
     for m, det in monitor.detectors.items():
         assert det.hist.n_bins == 32 and det.lam == 0.05
         assert bin_counts(det.hist, x[y == m]).tolist() == [2] * 32
-    assert fit_cdm(x, y, table, n_bins=32, lam=0.05, seed=3).n_classes == 2
+    assert len(fit_cdm(x, y, table, n_bins=32, lam=0.05, seed=3).detectors) == 2
     for given in ({"n_bins": 16}, {"lam": 0.03}):
         with pytest.raises(ConfigError, match="does not match the threshold table"):
             fit_cdm(x, y, table, seed=3, **given)
@@ -125,7 +125,7 @@ def test_thresholds_indexed_by_class_counter(small_table):
         monitor.process(rng.standard_normal(2) + 3.0 * label, label)
         if monitor.detection:
             break
-    counts = monitor.class_counts()
+    counts = monitor.report()["class_counts"]
     assert counts[1] + counts[2] == monitor.global_t
     assert counts[2] <= 2
     det2 = monitor.detectors[2]
@@ -154,7 +154,7 @@ def test_rejected_samples_leave_monitor_unchanged(small_table):
         with pytest.raises(InputError):
             monitor.process(sample, label)
     assert monitor.global_t == 1
-    assert monitor.class_counts() == {1: 1, 2: 0}
+    assert monitor.report()["class_counts"] == {1: 1, 2: 0}
     for m, det in monitor.detectors.items():
         assert np.array_equal(det.z, z_before[m])
     assert monitor.detection is None and monitor.skipped_unknown == 0
@@ -167,7 +167,7 @@ def test_unlabeled_samples_only_advance_global_time(small_table):
     for _ in range(50):
         assert monitor.process_unlabeled(np.zeros(2)) is None
     assert monitor.global_t == 50
-    assert monitor.class_counts() == {1: 0, 2: 0}
+    assert monitor.report()["class_counts"] == {1: 0, 2: 0}
     for m, d in monitor.detectors.items():
         assert np.array_equal(d.z, z_before[m])
     assert monitor.detection is None
@@ -232,7 +232,7 @@ def test_drifted_class_attribution(small_table):
     # labeled rows before tau, with probability (1 - 1/50)^20 = 0.668, so
     # valid runs are Binomial(30, 0.668): mean 20.0, sd 2.6; the bound sits
     # 3 sd below the mean. Among valid detections attribution favors class 2
-    p_valid = (1 - small_table.alpha) ** cfg.tau
+    p_valid = (1 - 1 / small_table.arl0_target) ** cfg.tau
     assert detections >= 30 * p_valid - 3 * math.sqrt(30 * p_valid * (1 - p_valid))
     assert hits / detections >= 0.8
 

@@ -276,3 +276,40 @@ def test_bench_requires_methods(workdir, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(["bench", "arl0", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
     assert "methods" in capsys.readouterr().err
+
+
+def test_bench_grid_writes_a_failed_first_row(workdir, tmp_path):
+    # method "a" sorts first and fails: 32 training rows a class against a
+    # table calibrated for 40; its row still carries every column, empty
+    cfg = bench_config(workdir, replicates=5)
+    cfg["methods"] = [
+        {"kind": "cdm", "table": str(workdir["table"]), "train_per_class": 32, "name": "a"},
+        {"kind": "ecdd", "limit": 2.0, "train_per_class": 40, "name": "b"},
+    ]
+    cfg["grid"] = {"nx": 1, "ny": 1, "x_offsets": [0.0, 0.0], "y_offsets": [0.0, 0.0]}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "grid.csv"
+    assert main(["bench", "grid", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["method"] for row in rows] == ["a", "b"]
+    assert "train_size" in rows[0]["failed"] and rows[1]["failed"] == ""
+    assert all(rows[0][k] == "" for k in ("mean_delay", "stderr", "detections",
+                                          "false_alarms", "censored"))
+    assert int(rows[1]["detections"]) + int(rows[1]["censored"]) <= 5
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("must be a JSON object", lambda cfg: [cfg]),
+    ("'replicates'", lambda cfg: {**cfg, "replicates": "ten"}),
+    ("'means'", lambda cfg: {**cfg, "mixture": {**cfg["mixture"], "means": "abc"}}),
+], ids=["top-level-list", "replicates", "means"])
+def test_bench_refuses_a_field_of_the_wrong_type(workdir, tmp_path, capsys, field, edit):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(edit(bench_config(workdir))))
+    out = tmp_path / "out.csv"
+    assert main(["bench", "delay", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not out.exists()

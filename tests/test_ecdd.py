@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from driftmon import ConfigError, InputError, cross_val_error, ecdd_init, ecdd_update, fit_classifier
-from driftmon.ecdd import KnnClassifier, LdaClassifier, ecdd_monitor_stream
+from driftmon import (ConfigError, EcddMonitor, InputError, cross_val_error, ecdd_init,
+                      ecdd_update, fit_classifier, run_labeled_stream)
+from driftmon.ecdd import KnnClassifier, LdaClassifier
 from driftmon.engine import ecdd_first_exceed
 from driftmon.seeding import rng_from
 
@@ -220,8 +221,9 @@ def test_monitor_stream_skips_unlabeled_and_reports_global_time():
     for i in range(200):
         xi = rng.standard_normal(2)
         stream.append((xi, 2 if i % 2 == 0 else None))
-    state = ecdd_init(0.05, 0.2, limit=1.0)
-    report = ecdd_monitor_stream(clf, iter(stream), state)
+    monitor = EcddMonitor(clf, ecdd_init(0.05, 0.2, limit=1.0))
+    run_labeled_stream(monitor, iter(stream))
+    report = monitor.report()
     assert report["detected"]
     assert report["m_star"] is None
     assert report["t_star"] == 2 * report["n_labeled"] - 1  # unlabeled gaps counted
@@ -231,10 +233,25 @@ def test_perfect_classifier_never_detects():
     x, y = two_class_data(6.0, n=100, seed=12)
     clf = fit_classifier("lda", x, y)
     stream = [(x[i], int(y[i])) for i in range(len(x))]
-    state = ecdd_init(0.0, 0.2, limit=2.0, prior_weight=0.0)
-    report = ecdd_monitor_stream(clf, iter(stream), state)
+    monitor = EcddMonitor(clf, ecdd_init(0.0, 0.2, limit=2.0, prior_weight=0.0))
+    run_labeled_stream(monitor, iter(stream))
+    report = monitor.report()
     assert not report["detected"]
     assert report["n_labeled"] == len(x)
+
+
+@pytest.mark.parametrize("kind", ["knn", "lda"])
+def test_rejected_sample_leaves_the_monitor_unchanged(kind):
+    x, y = two_class_data(2.0, n=100, seed=14)
+    monitor = EcddMonitor(fit_classifier(kind, x, y), ecdd_init(0.1, 0.2, limit=2.0))
+    assert monitor.process(x[0], int(y[0])) is None
+    monitor.process_unlabeled(x[1])
+    before = (monitor.global_t, vars(monitor.state).copy())
+    with pytest.raises(InputError, match="expected 2 features"):
+        monitor.process(np.zeros(3), 1)
+    assert (monitor.global_t, vars(monitor.state)) == before
+    assert before[0] == 2 and before[1]["n_seen"] == 1
+    assert monitor.detection is None
 
 
 class ConstantClassifier:

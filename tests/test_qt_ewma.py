@@ -1,4 +1,3 @@
-import csv
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +10,6 @@ from driftmon import (
     ThresholdTable,
     build_quanttree,
     calibrate_thresholds,
-    run_stream,
 )
 from driftmon.engine import batch_first_exceed
 from driftmon.qt_ewma import SCALE_FLOOR, ewma_step
@@ -63,6 +61,9 @@ def test_first_statistic_is_bin_independent(hist, small_table):
             stat, _ = det.update_from_bin(b)
             assert stat == pytest.approx(lam**2 * (1 - 1 / k) / (1 / k), abs=1e-12)
             assert stat == table.thresholds[0]
+    # the same tie at h_1 cannot fire under the strict rule (gamma_1 = 0)
+    strict = QtEwmaDetector(hist, replace(small_table, gamma=np.zeros(small_table.t_max)))
+    assert strict.update_from_bin(0) == (small_table.thresholds[0], False)
 
 
 def test_statistic_is_invariant_to_bin_relabeling():
@@ -211,29 +212,6 @@ def test_detector_freezes_after_detection(hist, small_table):
     assert stat == stat_at_detection
     assert det.t == t_at_detection
     assert det.detection_time == t_at_detection
-
-
-def test_run_stream_with_trace(hist, small_table, tmp_path):
-    det = QtEwmaDetector(hist, small_table)
-    data = rng_from(9).standard_normal((400, 2)) + 40.0  # far off the training mass
-    trace = tmp_path / "trace.csv"
-    t_star = run_stream(det, data, trace_path=trace)
-    assert t_star is not None and t_star >= 1
-    with open(trace, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "bin", "statistic", "threshold", "detected"]
-    assert len(rows) - 1 == t_star
-    assert rows[-1][-1] == "1"
-    assert float(rows[-1][2]) == pytest.approx(det.last_statistic)
-
-
-def test_run_stream_without_detection(hist, small_table):
-    # with no tie randomization a single sample sits exactly on h_1 and
-    # cannot fire, so the stream ends first
-    strict = replace(small_table, gamma=np.zeros(small_table.t_max))
-    det = QtEwmaDetector(hist, strict)
-    assert run_stream(det, rng_from(10).standard_normal((1, 2))) is None
-    assert det.t == 1
 
 
 def test_empirical_arl0_small_target(small_table):

@@ -37,10 +37,6 @@ def test_head_applies_tail_rule():
     assert np.array_equal(gamma, [1.0, 0.25, 0.0])
 
 
-def test_alpha():
-    assert make_table().alpha == pytest.approx(1.0 / 375.0)
-
-
 def test_construction_validation():
     assert make_table().t_max == 5  # the length of the arrays
     with pytest.raises(FormatError):
