@@ -2,27 +2,27 @@
 
 Every replicate draws its own training set and stream from seeds derived
 from (master seed, replicate index), so reports are reproducible and
-independent of execution order. The default engine prepares replicates
-sequentially and then steps their detection recursions in lockstep with
-numpy; the "sequential" engine runs the plain online monitors and is
-used to validate the batch path.
+independent of execution order. Both engines start from the monitor
+``_replicate`` fits: the default engine reads its histograms or
+classifier and steps all replicates' recursions in lockstep with numpy;
+the "sequential" engine feeds it one sample at a time, as the CLI does,
+and is used to validate the batch path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 
 from . import ecdd as ecdd_mod
-from .cdm import CdmMonitor, fit_class_histograms, run_labeled_stream
+from .cdm import fit_cdm, run_labeled_stream
 from .datastreams import GaussianMixtureConfig, generate_stream, sample_training, skl_gaussian
 from .engine import batch_first_exceed, ecdd_first_exceed
 from .errors import ConfigError, DriftmonError
-from .qt_ewma import QtEwmaDetector
 from .quanttree import locate_bins
 from .seeding import derive_seed
 from .thresholds import ThresholdTable, table_to_dict
@@ -48,7 +48,6 @@ class EcddMethod:
     r: float = ecdd_mod.DEFAULT_R
     prior_weight: float = ecdd_mod.DEFAULT_PRIOR_WEIGHT
     train_per_class: int = 256
-    cv_folds: int = 5
     name: str = "ecdd"
 
 
@@ -72,22 +71,9 @@ class ExperimentReport:
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "scenario": self.scenario,
-            "metric": self.metric,
-            "replicates": self.replicates,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "detections": self.detections,
-            "false_alarms": self.false_alarms,
-            "censored": self.censored,
-            "tau": self.tau,
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "degenerate": self.degenerate,
-        }
+        """The report's fields in order, less the per-replicate arrays."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("t_star", "m_star")}
 
 
 def config_hash(payload: dict) -> str:
@@ -118,28 +104,40 @@ def stationary(cfg: GaussianMixtureConfig) -> GaussianMixtureConfig:
 # replicate runners
 
 
-def _cdm_replicate(method: CdmMethod, cfg: GaussianMixtureConfig, length: int,
-                   rep_seed: int):
-    """One replicate's per-class histograms, stream and monitored labels."""
+def _replicate(method, cfg: GaussianMixtureConfig, length: int, rep_seed: int):
+    """One replicate's fitted monitor, stream and monitored labels.
+
+    Training draws at (rep_seed, 0), the fit at (rep_seed, 1) and the
+    stream at (rep_seed, 2). CDM and the pooled QT-EWMA (all labels 1) are
+    fitted by ``fit_cdm``; ECDD is an ``EcddMonitor`` whose chart starts
+    at the cross-validated error rate. Both engines start from here.
+    """
     tx, ty = sample_training(cfg, method.train_per_class, derive_seed(rep_seed, 0))
-    if method.pooled:
-        ty = np.ones_like(ty)
-    hists = fit_class_histograms(tx, ty, method.table.n_bins, derive_seed(rep_seed, 1))
+    pooled = isinstance(method, CdmMethod) and method.pooled
+    if isinstance(method, EcddMethod):
+        clf = ecdd_mod.fit_classifier(method.classifier, tx, ty, k=method.knn_k)
+        p0 = ecdd_mod.cross_val_error(method.classifier, tx, ty,
+                                      seed=derive_seed(rep_seed, 1), k=method.knn_k)
+        monitor = ecdd_mod.EcddMonitor(
+            clf, ecdd_mod.ecdd_init(p0, method.r, method.limit, method.prior_weight))
+    else:
+        monitor = fit_cdm(tx, np.ones_like(ty) if pooled else ty, method.table,
+                          seed=derive_seed(rep_seed, 1))
     stream = generate_stream(cfg, length, derive_seed(rep_seed, 2))
-    labels = np.ones(len(stream), dtype=np.int64) if method.pooled else stream.y
-    return hists, stream, labels
+    labels = np.ones(len(stream), dtype=np.int64) if pooled else stream.y
+    return monitor, stream, labels
 
 
 def _run_cdm_batch(method: CdmMethod, cfg: GaussianMixtureConfig, replicates: int,
                    length: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     all_rows, owners, hist_seeds = [], [], []
     for i in range(replicates):
-        hists, stream, labels = _cdm_replicate(method, cfg, length, derive_seed(seed, i))
-        for m, hist in hists.items():
+        monitor, stream, labels = _replicate(method, cfg, length, derive_seed(seed, i))
+        for m, detector in monitor.detectors.items():
             pos = np.flatnonzero(labels == m) + 1  # 1-based global positions
-            all_rows.append((locate_bins(hist, stream.x[pos - 1]), pos))
+            all_rows.append((locate_bins(detector.hist, stream.x[pos - 1]), pos))
             owners.append((i, m))
-            hist_seeds.append(hist.seed)
+            hist_seeds.append(detector.hist.seed)
     lengths = np.array([len(bins) for bins, _ in all_rows], dtype=np.int64)
     t_pad = int(lengths.max(initial=0))
     packed = np.zeros((len(all_rows), t_pad), dtype=np.int16)
@@ -157,68 +155,61 @@ def _run_cdm_batch(method: CdmMethod, cfg: GaussianMixtureConfig, replicates: in
     return t_star, m_star
 
 
-def _run_cdm_sequential(method: CdmMethod, cfg: GaussianMixtureConfig, replicates: int,
-                        length: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    t_star, m_star = np.zeros((2, replicates), dtype=np.int64)
-    for i in range(replicates):
-        hists, stream, labels = _cdm_replicate(method, cfg, length, derive_seed(seed, i))
-        monitor = CdmMonitor({m: QtEwmaDetector(h, method.table)
-                              for m, h in hists.items()})
-        detection = run_labeled_stream(monitor, zip(stream.x, labels.tolist()))
-        if detection is not None:
-            t_star[i], m_star[i] = detection.t_star, detection.m_star
-    return t_star, m_star
-
-
-def _ecdd_replicate(method: EcddMethod, cfg: GaussianMixtureConfig, length: int,
-                    rep_seed: int):
-    """One replicate's fitted classifier, cross-validated p0 and stream."""
-    tx, ty = sample_training(cfg, method.train_per_class, derive_seed(rep_seed, 0))
-    clf = ecdd_mod.fit_classifier(method.classifier, tx, ty, k=method.knn_k)
-    p0 = ecdd_mod.cross_val_error(
-        method.classifier, tx, ty, n_folds=method.cv_folds,
-        seed=derive_seed(rep_seed, 1), k=method.knn_k,
-    )
-    return clf, p0, generate_stream(cfg, length, derive_seed(rep_seed, 2))
-
-
-def _run_ecdd(method: EcddMethod, cfg: GaussianMixtureConfig, replicates: int,
-              length: int, seed: int) -> tuple[np.ndarray, None]:
+def _run_ecdd_batch(method: EcddMethod, cfg: GaussianMixtureConfig, replicates: int,
+                    length: int, seed: int) -> tuple[np.ndarray, None]:
     errors = np.empty((replicates, length), dtype=np.uint8)
     p0 = np.empty(replicates)
     for i in range(replicates):
-        clf, p0[i], stream = _ecdd_replicate(method, cfg, length, derive_seed(seed, i))
-        errors[i] = clf.predict(stream.x) != stream.y
+        monitor, stream, labels = _replicate(method, cfg, length, derive_seed(seed, i))
+        errors[i] = monitor.classifier.predict(stream.x) != labels
+        p0[i] = monitor.state.p0
     t_star = ecdd_first_exceed(errors, p0, method.prior_weight, method.r, method.limit)
     return t_star, None
 
 
-def _run_ecdd_sequential(method: EcddMethod, cfg: GaussianMixtureConfig,
-                         replicates: int, length: int, seed: int):
-    t_star = np.zeros(replicates, dtype=np.int64)
+def _run_sequential(method, cfg: GaussianMixtureConfig, replicates: int, length: int,
+                    seed: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The reference engine: each replicate's monitor, one sample at a time."""
+    t_star, m_star = np.zeros((2, replicates), dtype=np.int64)
     for i in range(replicates):
-        clf, p0, stream = _ecdd_replicate(method, cfg, length, derive_seed(seed, i))
-        state = ecdd_mod.ecdd_init(p0, method.r, method.limit, method.prior_weight)
-        detection = run_labeled_stream(ecdd_mod.EcddMonitor(clf, state), stream)
-        if detection is not None:
-            t_star[i] = detection.t_star
-    return t_star, None
+        monitor, stream, labels = _replicate(method, cfg, length, derive_seed(seed, i))
+        detection = run_labeled_stream(monitor, zip(stream.x, labels.tolist()))
+        if detection is not None:  # ECDD names no class: its m* is None
+            t_star[i], m_star[i] = detection.t_star, detection.m_star or 0
+    return t_star, None if isinstance(method, EcddMethod) else m_star
 
 
-def _dispatch(method, cfg, replicates, length, seed, engine):
-    if isinstance(method, CdmMethod):
-        per_hist = method.train_per_class * (len(cfg.means) if method.pooled else 1)
-        if per_hist != method.table.train_size:
-            raise ConfigError(
-                f"training size per histogram {per_hist} does not match "
-                f"the threshold table's train_size {method.table.train_size}"
-            )
-        runner = _run_cdm_batch if engine == "batch" else _run_cdm_sequential
-    elif isinstance(method, EcddMethod):
-        runner = _run_ecdd if engine == "batch" else _run_ecdd_sequential
-    else:
+def _report(method, cfg: GaussianMixtureConfig, replicates: int, horizon: int, seed: int,
+            engine: str) -> ExperimentReport:
+    """Run ``method`` and summarize its t* as delays t* - tau.
+
+    Detections at or before tau are false alarms; at tau = 0, the ARL0
+    setting, every detection is one and the delays are the run lengths.
+    Undetected runs are censored at the horizon.
+    """
+    if not isinstance(method, (CdmMethod, EcddMethod)):
         raise ConfigError(f"unknown method type {type(method).__name__}")
-    return runner(method, cfg, replicates, length, seed)
+    batch = _run_cdm_batch if isinstance(method, CdmMethod) else _run_ecdd_batch
+    runner = batch if engine == "batch" else _run_sequential
+    t_star, m_star = runner(method, cfg, replicates, horizon, seed)
+    detected = t_star > 0
+    valid = t_star > cfg.tau
+    delays = (t_star[valid] - cfg.tau).astype(float)
+    false_alarms = detected & (t_star <= cfg.tau) if cfg.tau else detected
+    return ExperimentReport(
+        method=method.name,
+        scenario=f"drift@tau={cfg.tau}" if cfg.tau else "stationary",
+        metric="delay" if cfg.tau else "arl0",
+        replicates=replicates,
+        mean=float(delays.mean()) if delays.size else None,
+        stderr=float(delays.std(ddof=1) / np.sqrt(delays.size)) if delays.size > 1 else None,
+        detections=int(valid.sum()), false_alarms=int(false_alarms.sum()),
+        censored=int(replicates - detected.sum()), tau=cfg.tau, horizon=horizon, seed=seed,
+        config_hash=config_hash({"method": vars(method), "cfg": vars(cfg),
+                                 "replicates": replicates, "horizon": horizon,
+                                 "seed": seed}),
+        t_star=t_star, m_star=m_star, degenerate=not delays.size,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -233,25 +224,8 @@ def estimate_arl0(method, cfg: GaussianMixtureConfig, replicates: int, horizon: 
     counted separately rather than folded into the mean.
     """
     if isinstance(method, CdmMethod) and horizon < 10 * method.table.arl0_target:
-        raise ConfigError(
-            f"horizon {horizon} < 10 x target ARL0 {method.table.arl0_target}"
-        )
-    cfg0 = stationary(cfg)
-    t_star, m_star = _dispatch(method, cfg0, replicates, horizon, seed, engine)
-    detected = t_star > 0
-    times = t_star[detected].astype(float)
-    mean = float(times.mean()) if times.size else None
-    stderr = float(times.std(ddof=1) / np.sqrt(times.size)) if times.size > 1 else None
-    return ExperimentReport(
-        method=method.name, scenario="stationary", metric="arl0",
-        replicates=replicates, mean=mean, stderr=stderr,
-        detections=int(detected.sum()), false_alarms=int(detected.sum()),
-        censored=int(replicates - detected.sum()), tau=0, horizon=horizon,
-        seed=seed, config_hash=config_hash({"method": vars(method), "cfg": vars(cfg0),
-                                            "replicates": replicates,
-                                            "horizon": horizon, "seed": seed}),
-        t_star=t_star, m_star=m_star, degenerate=not times.size,
-    )
+        raise ConfigError(f"horizon {horizon} < 10 x target ARL0 {method.table.arl0_target}")
+    return _report(method, stationary(cfg), replicates, horizon, seed, engine)
 
 
 def estimate_delay(method, cfg: GaussianMixtureConfig, replicates: int, seed: int,
@@ -263,24 +237,7 @@ def estimate_delay(method, cfg: GaussianMixtureConfig, replicates: int, seed: in
     """
     if cfg.tau <= 0:
         raise ConfigError("delay estimation needs a change point tau > 0")
-    horizon = cfg.tau + post_length
-    t_star, m_star = _dispatch(method, cfg, replicates, horizon, seed, engine)
-    valid = t_star > cfg.tau
-    delays = (t_star[valid] - cfg.tau).astype(float)
-    false_alarms = int(((t_star > 0) & (t_star <= cfg.tau)).sum())
-    censored = int((t_star == 0).sum())
-    mean = float(delays.mean()) if delays.size else None
-    stderr = float(delays.std(ddof=1) / np.sqrt(delays.size)) if delays.size > 1 else None
-    return ExperimentReport(
-        method=method.name, scenario=f"drift@tau={cfg.tau}", metric="delay",
-        replicates=replicates, mean=mean, stderr=stderr,
-        detections=int(valid.sum()), false_alarms=false_alarms, censored=censored,
-        tau=cfg.tau, horizon=horizon, seed=seed,
-        config_hash=config_hash({"method": vars(method), "cfg": vars(cfg),
-                                 "replicates": replicates, "horizon": horizon,
-                                 "seed": seed}),
-        t_star=t_star, m_star=m_star, degenerate=not delays.size,
-    )
+    return _report(method, cfg, replicates, cfg.tau + post_length, seed, engine)
 
 
 def estimate_error_rate(classifier, cfg: GaussianMixtureConfig, samples: int,
@@ -292,6 +249,14 @@ def estimate_error_rate(classifier, cfg: GaussianMixtureConfig, samples: int,
     """
     stream = generate_stream(cfg, samples, seed)
     return float((classifier.predict(stream.x) != stream.y).mean())
+
+
+def drift_class_mean(cfg: GaussianMixtureConfig, drift_class: int) -> np.ndarray:
+    """Pre-change mean of class ``drift_class``; a label outside 1..M raises."""
+    if not 1 <= drift_class <= len(cfg.means):
+        raise ConfigError(f"drift_class must be a class label in 1..{len(cfg.means)}, "
+                          f"got {drift_class}")
+    return cfg.means[drift_class - 1]
 
 
 def grid_cells(center, x_offsets=(-1.5, 0.5), y_offsets=(-1.0, 1.0),
@@ -315,8 +280,9 @@ def run_grid_experiment(cfg_base: GaussianMixtureConfig, methods: dict,
     supplies the error-rate contours. Failed cells are marked and the run
     continues.
     """
+    center = drift_class_mean(cfg_base, drift_class)
     if cells is None:
-        cells = grid_cells(cfg_base.means[drift_class - 1])
+        cells = grid_cells(center)
     if not cells:
         raise ConfigError("grid is empty")
     if cfg_base.tau <= 0:
@@ -331,19 +297,13 @@ def run_grid_experiment(cfg_base: GaussianMixtureConfig, methods: dict,
     for ci, (cx, cy) in enumerate(cells):
         post_means = cfg_base.post_means.copy()
         post_means[drift_class - 1] = (cx, cy)
-        cfg_cell = GaussianMixtureConfig(
-            means=cfg_base.means.copy(), covs=cfg_base.covs.copy(),
-            priors=cfg_base.priors.copy(), post_means=post_means,
-            post_covs=cfg_base.post_covs.copy(), tau=cfg_base.tau,
-        )
-        skl = skl_gaussian(cfg_base.means[drift_class - 1], cov, (cx, cy), cov)
+        cfg_cell = replace(cfg_base, post_means=post_means)
+        skl = skl_gaussian(center, cov, (cx, cy), cov)
         p1 = estimate_error_rate(err_clf, replace(cfg_cell, tau=0), error_samples,
                                  derive_seed(seed, 900_002 + ci))
         for mi, (name, method) in enumerate(sorted(methods.items())):
-            base = {
-                "mu_x": cx, "mu_y": cy, "method": name,
-                "skl": skl, "p1_minus_p0": p1 - p0,
-            }
+            base = {"mu_x": cx, "mu_y": cy, "method": name, "skl": skl,
+                    "p1_minus_p0": p1 - p0}
             # a failed cell keeps every column, empty, so the CSV header fits all rows
             result = dict.fromkeys(("mean_delay", "stderr", "detections", "false_alarms",
                                     "censored"))

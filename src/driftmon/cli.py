@@ -18,8 +18,8 @@ from . import bench
 from .calibration import calibrate_ecdd_limit, calibrate_thresholds
 from .cdm import fit_cdm, run_labeled_stream
 from .datastreams import GaussianMixtureConfig, iter_csv_stream, read_csv_stream
-from .ecdd import (DEFAULT_KNN_K, DEFAULT_PRIOR_WEIGHT, DEFAULT_R, EcddMonitor,
-                   cross_val_error, ecdd_init, fit_classifier)
+from .ecdd import (CLASSIFIERS, DEFAULT_KNN_K, DEFAULT_PRIOR_WEIGHT, DEFAULT_R,
+                   EcddMonitor, cross_val_error, ecdd_init, fit_classifier)
 from .errors import CalibrationError, ConfigError, DriftmonError, FormatError, InputError
 from .qt_ewma import DEFAULT_LAMBDA
 from .thresholds import load_table, save_table
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="EWMA lambda (default: the table's; must match it)")
     mon.add_argument("--seed", type=int, default=0)
     mon.add_argument("--lenient-labels", action="store_true")
-    mon.add_argument("--classifier", choices=["knn", "lda"], default="knn")
+    mon.add_argument("--classifier", choices=list(CLASSIFIERS), default="knn")
     mon.add_argument("--knn-k", type=int, default=DEFAULT_KNN_K)
     mon.add_argument("--ecdd-r", type=float, default=DEFAULT_R)
     mon.add_argument("--ecdd-limit", type=float, help="control limit L (ecdd)")
@@ -205,6 +205,10 @@ def _method_from_config(raw: dict, seed: int):
             name=_field(raw, "name", str, kind),
         )
     if kind == "ecdd":
+        classifier = _field(raw, "classifier", str, "lda")
+        if classifier not in CLASSIFIERS:
+            raise ConfigError(f"config field 'classifier': unknown kind {classifier!r}, "
+                              f"choose from {', '.join(CLASSIFIERS)}")
         r = _field(raw, "r", float, DEFAULT_R)
         prior_weight = _field(raw, "prior_weight", float, DEFAULT_PRIOR_WEIGHT)
         limit = _field(raw, "limit", float)
@@ -217,7 +221,7 @@ def _method_from_config(raw: dict, seed: int):
             )
         return bench.EcddMethod(
             limit=limit,
-            classifier=raw.get("classifier", "lda"),
+            classifier=classifier,
             knn_k=_field(raw, "knn_k", int, DEFAULT_KNN_K),
             r=r,
             prior_weight=prior_weight,
@@ -256,7 +260,7 @@ def cmd_bench(args) -> int:
         grid_raw = _require_object(cfg.get("grid") or {}, "config field 'grid'")
         drift_class = _field(grid_raw, "drift_class", int, 2)
         cells = bench.grid_cells(
-            mixture.means[drift_class - 1],
+            bench.drift_class_mean(mixture, drift_class),
             x_offsets=_field(grid_raw, "x_offsets", _pair, (-1.5, 0.5)),
             y_offsets=_field(grid_raw, "y_offsets", _pair, (-1.0, 1.0)),
             nx=_field(grid_raw, "nx", int, 9),

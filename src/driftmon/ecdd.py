@@ -21,6 +21,7 @@ from .seeding import rng_from
 
 DEFAULT_R = 0.2
 DEFAULT_KNN_K = 9
+CV_FOLDS = 5  # folds of the cross-validated training error rate p0
 
 # Pseudo-observation weight of the training-set error estimate inside the
 # running mean. Without it the estimate collapses onto the first few stream
@@ -193,24 +194,24 @@ def _robust_inverse(cov: np.ndarray) -> np.ndarray:
         raise NumericError("pooled covariance is singular after regularization") from exc
 
 
+CLASSIFIERS = {"knn": KnnClassifier, "lda": LdaClassifier}
+
+
 def fit_classifier(kind: str, x, y, k: int = DEFAULT_KNN_K):
-    """Fit a 'knn' or 'lda' classifier on labeled training data."""
+    """Fit a ``CLASSIFIERS`` kind on labeled training data (k: kNN's neighbours)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or len(x) != len(y):
         raise InputError("training data must be an N x d matrix with N labels")
     if len(np.unique(y)) < 2:
         raise ConfigError("classifier training needs at least 2 classes")
-    if kind == "knn":
-        return KnnClassifier(k).fit(x, y)
-    if kind == "lda":
-        return LdaClassifier().fit(x, y)
-    raise ConfigError(f"unknown classifier kind {kind!r}")
+    if kind not in CLASSIFIERS:
+        raise ConfigError(f"unknown classifier kind {kind!r}")
+    return (KnnClassifier(k) if kind == "knn" else CLASSIFIERS[kind]()).fit(x, y)
 
 
-def cross_val_error(kind: str, x, y, n_folds: int = 5, seed: int = 0,
-                    k: int = DEFAULT_KNN_K) -> float:
-    """Stratified k-fold cross-validated error rate of a classifier."""
+def cross_val_error(kind: str, x, y, seed: int = 0, k: int = DEFAULT_KNN_K) -> float:
+    """Stratified ``CV_FOLDS``-fold cross-validated error rate of a classifier."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     rng = rng_from(seed)
@@ -218,9 +219,9 @@ def cross_val_error(kind: str, x, y, n_folds: int = 5, seed: int = 0,
     for c in np.unique(y):
         idx = np.flatnonzero(y == c)
         rng.shuffle(idx)
-        folds[idx] = np.arange(len(idx)) % n_folds
+        folds[idx] = np.arange(len(idx)) % CV_FOLDS
     errors = 0
-    for f in range(n_folds):
+    for f in range(CV_FOLDS):
         test = folds == f
         clf = fit_classifier(kind, x[~test], y[~test], k=k)
         errors += int((clf.predict(x[test]) != y[test]).sum())

@@ -1,20 +1,27 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import two_gaussian_config
+from conftest import two_gaussian_config, write_csv_stream
 
 from driftmon import (
     CdmMethod,
     ConfigError,
     EcddMethod,
     GaussianMixtureConfig,
+    LabeledStream,
     estimate_arl0,
     estimate_delay,
+    generate_stream,
     grid_cells,
     run_grid_experiment,
+    sample_training,
+    save_table,
 )
 from driftmon.bench import config_hash
+from driftmon.cli import EXIT_OK, main
+from driftmon.seeding import derive_seed
 from driftmon.thresholds import ThresholdTable
 
 
@@ -63,6 +70,47 @@ def test_batch_equals_sequential_ecdd(cfg0):
     batch = estimate_delay(method, cfg, 10, seed=4, post_length=400, engine="batch")
     seq = estimate_delay(method, cfg, 10, seed=4, post_length=400, engine="sequential")
     assert np.array_equal(batch.t_star, seq.t_star)
+
+
+@pytest.mark.parametrize("engine", ["batch", "sequential"])
+@pytest.mark.parametrize("fields", [{"limit": -1.0}, {"limit": 2.0, "r": 1.5},
+                                    {"limit": 2.0, "prior_weight": -1.0}],
+                         ids=["limit", "r", "prior_weight"])
+def test_engines_refuse_the_same_ecdd_methods(cfg0, engine, fields):
+    method = EcddMethod(classifier="lda", train_per_class=64, **fields)
+    cfg = replace(cfg0, tau=20)
+    with pytest.raises(ConfigError):
+        estimate_delay(method, cfg, 2, seed=1, post_length=50, engine=engine)
+
+
+@pytest.mark.parametrize("kind", ["cdm", "qtewma", "ecdd"])
+def test_sequential_engine_runs_what_the_cli_runs(small_table, tmp_path, capsys, kind):
+    """One replicate's training set and stream, written to CSV, give the
+    CLI's monitor the sequential engine's t* and m*."""
+    cfg = GaussianMixtureConfig(means=np.array([[0.0, 0.0], [3.0, 0.0]]),
+                                post_means=np.array([[0.0, 0.0], [1.0, 1.0]]), tau=50)
+    method = {"cdm": CdmMethod(table=small_table, train_per_class=64),
+              "qtewma": CdmMethod(table=small_table, train_per_class=32, pooled=True),
+              "ecdd": EcddMethod(limit=2.0, classifier="lda", train_per_class=64)}[kind]
+    seed, i = 11, 1
+    seq = estimate_delay(method, cfg, i + 1, seed, post_length=400, engine="sequential")
+    assert seq.t_star[i] > 0
+
+    rep_seed = derive_seed(seed, i)
+    tx, ty = sample_training(cfg, method.train_per_class, derive_seed(rep_seed, 0))
+    write_csv_stream(LabeledStream(x=tx, y=ty, labeled=np.ones(len(ty), bool)),
+                     tmp_path / "train.csv")
+    write_csv_stream(generate_stream(cfg, seq.horizon, derive_seed(rep_seed, 2)),
+                     tmp_path / "stream.csv")
+    save_table(small_table, tmp_path / "table.json")
+    argv = ["monitor", "--method", kind, "--train", str(tmp_path / "train.csv"),
+            "--stream", str(tmp_path / "stream.csv"), "--seed", str(derive_seed(rep_seed, 1))]
+    argv += (["--classifier", "lda", "--ecdd-limit", "2.0"] if kind == "ecdd"
+             else ["--thresholds", str(tmp_path / "table.json")])
+    assert main(argv) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["t_star"] == seq.t_star[i]
+    assert report["m_star"] == (None if seq.m_star is None else seq.m_star[i])
 
 
 def test_delay_excludes_false_alarms(small_table):
@@ -147,6 +195,8 @@ def test_grid_requires_cells_and_tau(small_table):
     method = CdmMethod(table=small_table, train_per_class=64)
     with pytest.raises(ConfigError):
         run_grid_experiment(two_gaussian_config(tau=30), {"m": method}, 5, 0, cells=[])
+    with pytest.raises(ConfigError, match="drift_class"):
+        run_grid_experiment(two_gaussian_config(tau=30), {"m": method}, 5, 0, drift_class=0)
     with pytest.raises(ConfigError):
         run_grid_experiment(two_gaussian_config(), {"m": method}, 5, 0)
 

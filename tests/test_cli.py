@@ -304,7 +304,9 @@ def test_bench_grid_writes_a_failed_first_row(workdir, tmp_path):
     ("must be a JSON object", lambda cfg: [cfg]),
     ("'replicates'", lambda cfg: {**cfg, "replicates": "ten"}),
     ("'means'", lambda cfg: {**cfg, "mixture": {**cfg["mixture"], "means": "abc"}}),
-], ids=["top-level-list", "replicates", "means"])
+    ("'classifier'", lambda cfg: {**cfg, "methods": [{"kind": "ecdd", "limit": 2.0,
+                                                       "classifier": "svm"}]}),
+], ids=["top-level-list", "replicates", "means", "classifier"])
 def test_bench_refuses_a_field_of_the_wrong_type(workdir, tmp_path, capsys, field, edit):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(edit(bench_config(workdir))))
@@ -312,4 +314,19 @@ def test_bench_refuses_a_field_of_the_wrong_type(workdir, tmp_path, capsys, fiel
     assert main(["bench", "delay", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("drift_class", [5, 0])
+def test_bench_grid_refuses_a_drift_class_outside_the_labels(workdir, tmp_path, capsys,
+                                                              drift_class):
+    cfg = bench_config(workdir, replicates=5)
+    cfg["mixture"] = {"means": [[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]], "tau": 40}
+    cfg["grid"] = {"nx": 1, "ny": 1, "drift_class": drift_class}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "grid.csv"
+    assert main(["bench", "grid", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "drift_class" in err
     assert not out.exists()

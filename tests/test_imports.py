@@ -1,5 +1,6 @@
-"""Every name a driftmon module imports is used in that module, and every
-module-level UPPER_CASE constant is read somewhere in the package.
+"""Every name a driftmon module imports is used in that module, every
+module-level UPPER_CASE constant is read somewhere in the package, and
+every private function or method is referenced somewhere in the package.
 
 The package ``__init__`` re-exports names, so it is left out of the import
 check.
@@ -37,16 +38,26 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unread_constants(sources: dict[str, str]) -> list[str]:
-    """Module-level UPPER_CASE names that no module of ``sources`` reads."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
+def names_read(trees) -> set[str]:
+    """Every name loaded, and every attribute accessed, in ``trees``."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def package_sources() -> dict[str, str]:
+    return {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """Module-level UPPER_CASE names that no module of ``sources`` reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = names_read(trees.values())
     unread = []
     for name, tree in trees.items():
         for node in tree.body:
@@ -64,5 +75,29 @@ def test_detects_an_unread_constant():
 
 
 def test_package_reads_every_constant():
-    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
-    assert unread_constants(sources) == []
+    assert unread_constants(package_sources()) == []
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """Functions and methods named ``_x`` (dunders aside) that no module of
+    ``sources`` references by name or attribute."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = names_read(trees.values())
+    return sorted(
+        f"{name}.{node.name}" for name, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+        and node.name not in read)
+
+
+def test_detects_an_unreferenced_private_function():
+    sources = {"a": "def _used():\n    pass\n\ndef _spare():\n    pass\n\n"
+                    "class C:\n    def __init__(self):\n        self._step()\n\n"
+                    "    def _step(self):\n        pass\n\n    def _left(self):\n"
+                    "        pass\n",
+               "b": "import a\na._used()\n"}
+    assert unreferenced_private_functions(sources) == ["a._left", "a._spare"]
+
+
+def test_package_references_every_private_function():
+    assert unreferenced_private_functions(package_sources()) == []
