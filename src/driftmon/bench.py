@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -88,8 +88,8 @@ def _jsonable(obj):
         return obj.item()
     if isinstance(obj, ThresholdTable):
         return table_to_dict(obj)
-    if hasattr(obj, "__dict__"):
-        return {k: v for k, v in vars(obj).items()}
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
     raise TypeError(f"not hashable for config: {type(obj)}")
 
 
@@ -205,7 +205,7 @@ def _report(method, cfg: GaussianMixtureConfig, replicates: int, horizon: int, s
         stderr=float(delays.std(ddof=1) / np.sqrt(delays.size)) if delays.size > 1 else None,
         detections=int(valid.sum()), false_alarms=int(false_alarms.sum()),
         censored=int(replicates - detected.sum()), tau=cfg.tau, horizon=horizon, seed=seed,
-        config_hash=config_hash({"method": vars(method), "cfg": vars(cfg),
+        config_hash=config_hash({"method": method, "cfg": cfg,
                                  "replicates": replicates, "horizon": horizon,
                                  "seed": seed}),
         t_star=t_star, m_star=m_star, degenerate=not delays.size,

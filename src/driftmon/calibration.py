@@ -5,7 +5,10 @@ not on which labels the bins carry (``qt_ewma.ewma_step`` carries S, so
 this holds bit for bit), thresholds can be calibrated on cheap 1-D
 uniform surrogates: each replicate builds a fresh histogram on uniform
 training data, numbers its intervals from the left, and streams fresh
-uniforms through the recursion. A step costs O(survivors): each draw
+uniforms through the recursion. The histograms are built a chunk at a
+time from the training uniforms replayed in blocks, reading only the two
+order statistics around each edge, so their memory is bounded by the
+block and chunk x K, not by chunk x N. A step costs O(survivors): each draw
 finds its interval by a binary search over its replicate's sorted
 edges, the recursion touches one weight per survivor, and only the
 survivors' row index and statistic are compacted. The peeling quantile
@@ -21,6 +24,7 @@ stepped by ``ecdd.ecdd_step``.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 
@@ -29,13 +33,14 @@ import numpy as np
 from .ecdd import DEFAULT_PRIOR_WEIGHT, ecdd_step
 from .errors import CalibrationError, ConfigError
 from .qt_ewma import ewma_step, fires
-from .quanttree import _bin_allocation, uniform_probs
+from .quanttree import _bin_allocation
 from .seeding import rng_from
 from .thresholds import ThresholdTable
 
 DEFAULT_REPLICATES = 100_000
 SURVIVOR_FLOOR = 1000  # fewest replicates a quantile step may rest on
 TREE_CHUNK = 20_000  # histograms built per vectorized batch
+TREE_BLOCK = 1 << 20  # training uniforms sorted at a time when building them
 ECDD_DRAW_BLOCK = 1 << 18  # uniforms per draw of the ECDD limit calibration
 
 
@@ -47,28 +52,42 @@ def _uniform_tree_batch(n_train: int, n_bins: int, n_rep: int,
     right; the i-th interval from the left serves as bin i. Equivalent in
     distribution to building each tree with the generic constructor on
     1-D data, up to the bin labels, which the statistic never sees.
+
+    The generator yields each tree's N training uniforms, then the K-1
+    split directions. The directions alone fix every interval's training
+    count, so edge i lies midway between the C_i-th and (C_i+1)-th order
+    statistics, C_i the count left of it. The training uniforms are
+    skipped, the directions drawn, and the training uniforms replayed
+    ``TREE_BLOCK`` at a time to read those two order statistics per edge:
+    memory O(block + n_rep K), and the generator ends where drawing the
+    whole (n_rep, N) matrix first would leave it. The skip assumes the
+    PCG64 that ``seeding.rng_from`` gives, whose ``advance`` counts one
+    64-bit output per double that ``Generator.random`` draws.
     """
-    pi = uniform_probs(n_bins)
-    x = rng.random((n_rep, n_train))
-    x.sort(axis=1)  # in place: one (n_rep, n_train) array, not two
+    replay = copy.deepcopy(rng)
+    rng.bit_generator.advance(n_rep * n_train)
     rows = np.arange(n_rep)
-    lo = np.zeros(n_rep, dtype=np.int64)
-    hi = np.full(n_rep, n_train, dtype=np.int64)
-    li = np.zeros(n_rep, dtype=np.int64)          # next interval slot from the left
-    ri = np.full(n_rep, n_bins - 1, dtype=np.int64)  # next slot from the right
-    edges = np.empty((n_rep, n_bins - 1))
-    n_rem = n_train
-    for k in range(n_bins - 1):
-        count = _bin_allocation(n_rem, pi, k)
+    sizes = np.empty((n_rep, n_bins), dtype=np.int64)  # training count per interval
+    li = np.zeros(n_rep, dtype=np.int64)          # next interval from the left
+    ri = np.full(n_rep, n_bins - 1, dtype=np.int64)  # next interval from the right
+    allocation = _bin_allocation(n_train, n_bins)
+    for count in allocation:
         lower = rng.random(n_rep) < 0.5
-        thr_low = 0.5 * (x[rows, lo + count - 1] + x[rows, lo + count])
-        thr_up = 0.5 * (x[rows, hi - count - 1] + x[rows, hi - count])
-        edges[rows, np.where(lower, li, ri - 1)] = np.where(lower, thr_low, thr_up)
-        lo += np.where(lower, count, 0)
-        hi -= np.where(lower, 0, count)
+        sizes[rows, np.where(lower, li, ri)] = count
         li += lower
         ri -= ~lower
-        n_rem -= count
+    sizes[rows, li] = n_train - sum(allocation)
+    below = np.cumsum(sizes[:, :-1], axis=1) - 1  # lower order statistic of each edge
+
+    edges = np.empty((n_rep, n_bins - 1))
+    block = np.empty((min(n_rep, max(1, TREE_BLOCK // n_train)), n_train))
+    for start in range(0, n_rep, len(block)):
+        stop = min(start + len(block), n_rep)
+        x = replay.random(out=block[:stop - start])
+        x.sort(axis=1)
+        at = below[start:stop]
+        edges[start:stop] = 0.5 * (np.take_along_axis(x, at, axis=1)
+                                   + np.take_along_axis(x, at + 1, axis=1))
     return edges
 
 

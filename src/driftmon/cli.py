@@ -167,6 +167,13 @@ def _field(raw: dict, name: str, convert, default=None):
         raise ConfigError(f"config field {name!r}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """``int(value)``, refusing what it would truncate: booleans and fractions."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
@@ -186,7 +193,7 @@ def _mixture_from_config(raw: dict) -> GaussianMixtureConfig:
         priors=_field(raw, "priors", _floats),
         post_means=_field(raw, "post_means", _floats),
         post_covs=_field(raw, "post_covs", _floats),
-        tau=_field(raw, "tau", int, 0),
+        tau=_field(raw, "tau", _integer, 0),
     )
 
 
@@ -200,7 +207,7 @@ def _method_from_config(raw: dict, seed: int):
         table.require(n_bins=raw.get("bins"), lam=raw.get("lambda"))
         return bench.CdmMethod(
             table=table,
-            train_per_class=_field(raw, "train_per_class", int, 256),
+            train_per_class=_field(raw, "train_per_class", _integer, 256),
             pooled=(kind == "qtewma"),
             name=_field(raw, "name", str, kind),
         )
@@ -222,10 +229,10 @@ def _method_from_config(raw: dict, seed: int):
         return bench.EcddMethod(
             limit=limit,
             classifier=classifier,
-            knn_k=_field(raw, "knn_k", int, DEFAULT_KNN_K),
+            knn_k=_field(raw, "knn_k", _integer, DEFAULT_KNN_K),
             r=r,
             prior_weight=prior_weight,
-            train_per_class=_field(raw, "train_per_class", int, 256),
+            train_per_class=_field(raw, "train_per_class", _integer, 256),
             name=_field(raw, "name", str, "ecdd"),
         )
     raise ConfigError(f"unknown method kind {kind!r}")
@@ -245,9 +252,9 @@ def _write_rows(rows: list[dict], path) -> None:
 def cmd_bench(args) -> int:
     cfg = _load_config(args.config)
     mixture = _mixture_from_config(cfg.get("mixture") or {})
-    seed = _field(cfg, "seed", int, 0)
-    replicates = _field(cfg, "replicates", int, 1000)
-    post_length = _field(cfg, "post_length", int, 7000)
+    seed = _field(cfg, "seed", _integer, 0)
+    replicates = _field(cfg, "replicates", _integer, 1000)
+    post_length = _field(cfg, "post_length", _integer, 7000)
     raw_methods = cfg.get("methods")
     if not raw_methods or not isinstance(raw_methods, list):
         raise ConfigError("config: 'methods' must be a non-empty list")
@@ -258,13 +265,13 @@ def cmd_bench(args) -> int:
 
     if args.experiment == "grid":
         grid_raw = _require_object(cfg.get("grid") or {}, "config field 'grid'")
-        drift_class = _field(grid_raw, "drift_class", int, 2)
+        drift_class = _field(grid_raw, "drift_class", _integer, 2)
         cells = bench.grid_cells(
             bench.drift_class_mean(mixture, drift_class),
             x_offsets=_field(grid_raw, "x_offsets", _pair, (-1.5, 0.5)),
             y_offsets=_field(grid_raw, "y_offsets", _pair, (-1.0, 1.0)),
-            nx=_field(grid_raw, "nx", int, 9),
-            ny=_field(grid_raw, "ny", int, 9),
+            nx=_field(grid_raw, "nx", _integer, 9),
+            ny=_field(grid_raw, "ny", _integer, 9),
         )
         rows = bench.run_grid_experiment(
             mixture, methods, replicates, seed, cells=cells,
@@ -278,7 +285,7 @@ def cmd_bench(args) -> int:
     for name, method in sorted(methods.items()):
         if args.experiment == "arl0":
             report = bench.estimate_arl0(
-                method, mixture, replicates, _field(cfg, "horizon", int, 8000), seed
+                method, mixture, replicates, _field(cfg, "horizon", _integer, 8000), seed
             )
         else:
             report = bench.estimate_delay(method, mixture, replicates, seed,

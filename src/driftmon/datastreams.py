@@ -41,34 +41,38 @@ class GaussianMixtureConfig:
                 raise ConfigError("priors must be a non-negative vector, one per class")
             if abs(self.priors.sum() - 1.0) > 1e-9:
                 raise ConfigError("priors must sum to 1")
-        self.covs = self._check_covs(self.covs, m, d)
+        self.covs, factors = self._check_covs(self.covs, m, d)
         if self.post_means is None:
             self.post_means = self.means.copy()
         else:
             self.post_means = np.atleast_2d(np.asarray(self.post_means, dtype=float))
             if self.post_means.shape != (m, d):
                 raise ConfigError("post_means must match the shape of means")
-        self.post_covs = self.covs if self.post_covs is None else self._check_covs(
-            self.post_covs, m, d
-        )
+        if self.post_covs is None:
+            self.post_covs, post_factors = self.covs, factors
+        else:
+            self.post_covs, post_factors = self._check_covs(self.post_covs, m, d)
         if self.tau < 0:
             raise ConfigError("tau must be >= 0")
+        # every draw reads these; an attribute, not a field, so config hashes
+        # cover only what the user set
+        self._cholesky = (factors, post_factors)
 
     @staticmethod
-    def _check_covs(covs, m: int, d: int) -> np.ndarray:
+    def _check_covs(covs, m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (M, d, d) covariances and their Cholesky factors."""
         if covs is None:
-            return np.broadcast_to(np.eye(d), (m, d, d)).copy()
-        covs = np.asarray(covs, dtype=float)
-        if covs.shape != (m, d, d):
-            raise ConfigError(f"covariances must have shape ({m}, {d}, {d})")
-        for c in covs:
-            if not np.allclose(c, c.T):
+            covs = np.broadcast_to(np.eye(d), (m, d, d)).copy()
+        else:
+            covs = np.asarray(covs, dtype=float)
+            if covs.shape != (m, d, d):
+                raise ConfigError(f"covariances must have shape ({m}, {d}, {d})")
+            if not all(np.allclose(c, c.T) for c in covs):
                 raise ConfigError("covariances must be symmetric")
-            try:
-                np.linalg.cholesky(c)
-            except np.linalg.LinAlgError as exc:
-                raise ConfigError("covariances must be positive definite") from exc
-        return covs
+        try:
+            return covs, np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError as exc:
+            raise ConfigError("covariances must be positive definite") from exc
 
     @property
     def n_classes(self) -> int:
@@ -112,9 +116,7 @@ def _mixture_draw(cfg: GaussianMixtureConfig, labels: np.ndarray, post: np.ndarr
             if not mask.any():
                 continue
             mean = (cfg.post_means if is_post else cfg.means)[m - 1]
-            cov = (cfg.post_covs if is_post else cfg.covs)[m - 1]
-            chol = np.linalg.cholesky(cov)
-            x[mask] = mean + z[mask] @ chol.T
+            x[mask] = mean + z[mask] @ cfg._cholesky[is_post][m - 1].T
     return x
 
 

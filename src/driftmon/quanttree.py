@@ -11,6 +11,7 @@ distribution, provided the data are continuous.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,13 +52,22 @@ def uniform_probs(n_bins: int) -> np.ndarray:
     return np.full(n_bins, 1.0 / n_bins)
 
 
-def _bin_allocation(n_remaining: int, pi: np.ndarray, k: int) -> int:
-    # float arithmetic over pi on purpose: an integer n / (K - k) rounds
-    # half-integers differently (K=3, N=10 allocates 3, 3, 4 here)
-    n_bins = pi.size
-    target = int(round(n_remaining * pi[k] / pi[k:].sum()))
-    # keep at least one point available for every later bin
-    return max(1, min(target, n_remaining - (n_bins - 1 - k)))
+@functools.lru_cache(maxsize=64)
+def _bin_allocation(n_train: int, n_bins: int) -> tuple[int, ...]:
+    """Training points each split k < K-1 carves off; the last bin keeps the rest.
+
+    Depends on (N, K) alone, so both tree builders share one cached tuple.
+    """
+    pi = uniform_probs(n_bins)
+    counts, n_remaining = [], n_train
+    for k in range(n_bins - 1):
+        # float arithmetic over pi on purpose: an integer n / (K - k) rounds
+        # half-integers differently (K=3, N=10 allocates 3, 3, 4 here)
+        target = int(round(n_remaining * pi[k] / pi[k:].sum()))
+        # keep at least one point available for every later bin
+        counts.append(max(1, min(target, n_remaining - (n_bins - 1 - k))))
+        n_remaining -= counts[-1]
+    return tuple(counts)
 
 
 def build_quanttree(training, n_bins: int, seed: int) -> QuantTreeHistogram:
@@ -77,30 +87,33 @@ def build_quanttree(training, n_bins: int, seed: int) -> QuantTreeHistogram:
         raise InputError("training contains non-finite values")
     if n_bins < 2:
         raise ConfigError(f"n_bins must be >= 2, got {n_bins}")
-    pi = uniform_probs(n_bins)
     n, d = x.shape
     if n < n_bins:
         raise ConfigError(f"need at least {n_bins} training points, got {n}")
 
     rng = rng_from(seed)
-    remaining = np.arange(n)
+    alive = np.ones(n, dtype=bool)
+    # per used column, the alive rows by value, ties by row: one stable sort
+    # of the column, then only filtered as rows leave
+    orders: dict[int, np.ndarray] = {}
     splits: list[Split] = []
-    for k in range(n_bins - 1):
+    for count in _bin_allocation(n, n_bins):
         dim = int(rng.integers(d))
         direction = LOWER if rng.random() < 0.5 else UPPER
-        count = _bin_allocation(remaining.size, pi, k)
-        vals = x[remaining, dim]
-        order = np.lexsort((remaining, vals))  # ties broken by original row
+        order = orders.get(dim)
+        if order is None:
+            order = np.argsort(x[:, dim], kind="stable")
+        order = orders[dim] = order[alive[order]]
         if direction == LOWER:
-            v_in, v_out = vals[order[count - 1]], vals[order[count]]
-            keep = order[count:]
+            inside, outside = order[count - 1], order[count]
+            alive[order[:count]] = False
         else:
-            v_in, v_out = vals[order[-count]], vals[order[-count - 1]]
-            keep = order[:-count]
+            inside, outside = order[-count], order[-count - 1]
+            alive[order[-count:]] = False
+        v_in, v_out = x[inside, dim], x[outside, dim]
         # duplicate boundary values: fall back to the shared value
         thr = v_in if v_in == v_out else 0.5 * (v_in + v_out)
         splits.append(Split(dim, float(thr), direction))
-        remaining = remaining[keep]
 
     return QuantTreeHistogram(
         splits=tuple(splits),

@@ -14,6 +14,7 @@ import pytest
 
 from driftmon import GaussianMixtureConfig, build_quanttree, calibrate_thresholds, locate_bins
 from driftmon.calibration import _uniform_tree_batch
+from driftmon.quanttree import LOWER, UPPER, Split
 from driftmon.qt_ewma import ewma_step
 from driftmon.seeding import derive_seed, rng_from
 
@@ -73,6 +74,70 @@ def tree_batch_training_counts(n_train, n_bins, seed) -> np.ndarray:
     edges = _uniform_tree_batch(n_train, n_bins, 1, rng_from(seed))
     idx = (x[:, None] > edges[0]).sum(axis=1)
     return np.sort(np.bincount(idx, minlength=n_bins))
+
+
+def _reference_allocation(n_remaining, n_bins, k) -> int:
+    pi = np.full(n_bins, 1.0 / n_bins)
+    target = int(round(n_remaining * pi[k] / pi[k:].sum()))
+    return max(1, min(target, n_remaining - (n_bins - 1 - k)))
+
+
+def reference_quanttree_splits(training, n_bins, seed) -> tuple:
+    """The splits ``build_quanttree`` must give, from the plain construction.
+
+    Every split sorts the remaining rows afresh by value, ties by
+    original row, and recomputes its allocation from the rows left.
+    """
+    x = np.asarray(training, dtype=float)
+    x = x[:, None] if x.ndim == 1 else x
+    rng = rng_from(seed)
+    remaining = np.arange(x.shape[0])
+    splits = []
+    for k in range(n_bins - 1):
+        dim = int(rng.integers(x.shape[1]))
+        direction = LOWER if rng.random() < 0.5 else UPPER
+        count = _reference_allocation(remaining.size, n_bins, k)
+        vals = x[remaining, dim]
+        order = np.lexsort((remaining, vals))
+        if direction == LOWER:
+            v_in, v_out = vals[order[count - 1]], vals[order[count]]
+            keep = order[count:]
+        else:
+            v_in, v_out = vals[order[-count]], vals[order[-count - 1]]
+            keep = order[:-count]
+        thr = v_in if v_in == v_out else 0.5 * (v_in + v_out)
+        splits.append(Split(dim, float(thr), direction))
+        remaining = remaining[keep]
+    return tuple(splits)
+
+
+def reference_uniform_tree_batch(n_train, n_bins, n_rep, rng) -> np.ndarray:
+    """The edges ``_uniform_tree_batch`` must give, from the whole sorted matrix.
+
+    Draws all (n_rep, n_train) training uniforms, sorts every row, then
+    per split draws the directions and reads both sides' order
+    statistics.
+    """
+    x = np.sort(rng.random((n_rep, n_train)), axis=1)
+    rows = np.arange(n_rep)
+    lo = np.zeros(n_rep, dtype=np.int64)
+    hi = np.full(n_rep, n_train, dtype=np.int64)
+    li = np.zeros(n_rep, dtype=np.int64)
+    ri = np.full(n_rep, n_bins - 1, dtype=np.int64)
+    edges = np.empty((n_rep, n_bins - 1))
+    n_rem = n_train
+    for k in range(n_bins - 1):
+        count = _reference_allocation(n_rem, n_bins, k)
+        lower = rng.random(n_rep) < 0.5
+        thr_low = 0.5 * (x[rows, lo + count - 1] + x[rows, lo + count])
+        thr_up = 0.5 * (x[rows, hi - count - 1] + x[rows, hi - count])
+        edges[rows, np.where(lower, li, ri - 1)] = np.where(lower, thr_low, thr_up)
+        lo += np.where(lower, count, 0)
+        hi -= np.where(lower, 0, count)
+        li += lower
+        ri -= ~lower
+        n_rem -= count
+    return edges
 
 
 def stationary_trajectory(train_size, n_bins, lam, horizon, seed) -> np.ndarray:

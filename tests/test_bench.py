@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -215,3 +215,13 @@ def test_config_hash_is_stable():
                   replace(table, thresholds=np.full(3, 0.5), gamma=np.zeros(3)),
                   replace(table, replicates=20_000)):
         assert config_hash({**payload, "table": other}) != config_hash(payload)
+
+
+def test_config_hash_reads_the_fields_a_user_sets():
+    # a mixture keeps its Cholesky factors beside its fields; the hash
+    # covers the fields alone, so caching the factors moved no hash
+    cfg = GaussianMixtureConfig(means=np.array([[0.0, 0.0], [3.0, 0.0]]), tau=5)
+    generate_stream(cfg, 10, seed=0)
+    as_set = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    assert config_hash({"cfg": cfg}) == config_hash({"cfg": as_set})
+    assert config_hash({"cfg": cfg}) != config_hash({"cfg": replace(cfg, tau=6)})

@@ -6,6 +6,7 @@ from conftest import (
     bin_counts,
     exceedance_z_scores,
     family_wise_bound,
+    reference_uniform_tree_batch,
     stationary_trajectory,
     tree_batch_training_counts,
 )
@@ -19,6 +20,7 @@ from driftmon import (
     calibrate_thresholds,
     replay_exceedance,
 )
+from driftmon import calibration
 from driftmon.calibration import SURVIVOR_FLOOR, _interval_index, _uniform_tree_batch
 from driftmon.engine import ecdd_first_exceed
 from driftmon.seeding import rng_from
@@ -179,6 +181,37 @@ def test_uniform_tree_batch_allocates_exactly():
     training = rng_from(seed).random((n_train, 1))
     expected = bin_counts(build_quanttree(training, n_bins, seed), training)
     assert tree_batch_training_counts(n_train, n_bins, seed).tolist() == sorted(expected.tolist())
+
+
+@pytest.mark.parametrize("n_train, n_bins, n_rep, block", [
+    (16, 16, 300, None),    # N = K: every bin holds one training point
+    (100, 7, 250, None),    # N not divisible by K
+    (64, 8, 100, 1000),     # 15 rows a block: the last block is partial
+    (4096, 32, 700, None),  # 256 rows a block
+])
+def test_uniform_tree_batch_matches_the_sorted_matrix(monkeypatch, n_train, n_bins, n_rep,
+                                                      block):
+    # replaying the training uniforms in blocks gives the edges of sorting
+    # the whole matrix first, and leaves the generator where it left it,
+    # over two consecutive chunks drawn from one generator
+    if block is not None:
+        monkeypatch.setattr(calibration, "TREE_BLOCK", block)
+    rng, reference = rng_from(50), rng_from(50)
+    for _ in range(2):
+        assert np.array_equal(_uniform_tree_batch(n_train, n_bins, n_rep, rng),
+                              reference_uniform_tree_batch(n_train, n_bins, n_rep, reference))
+    assert rng.random() == reference.random()
+
+
+def test_uniform_tree_batch_memory_is_bounded_by_the_block():
+    # the (5000, 4096) training matrix alone would be 164 MB
+    tracemalloc.start()
+    try:
+        _uniform_tree_batch(4096, 32, 5000, rng_from(51))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_interval_index_matches_the_compare_sum():

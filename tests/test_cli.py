@@ -330,3 +330,39 @@ def test_bench_grid_refuses_a_drift_class_outside_the_labels(workdir, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "drift_class" in err
     assert not out.exists()
+
+
+
+def _grid_config(workdir, tmp_path, grid=(), **overrides):
+    cfg = bench_config(workdir, **{"replicates": 5, **overrides})
+    cfg["grid"] = {"nx": 1, "ny": 1, "x_offsets": [0.0, 0.0], "y_offsets": [0.0, 0.0],
+                   **dict(grid)}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    return config
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("drift_class", {"grid": {"drift_class": 2.7}}),
+    ("replicates", {"replicates": 10.9}),
+    ("nx", {"grid": {"nx": True}}),
+], ids=["drift_class", "replicates", "nx"])
+def test_bench_refuses_an_integer_field_it_would_truncate(workdir, tmp_path, capsys,
+                                                          field, edit):
+    config = _grid_config(workdir, tmp_path, **edit)
+    out = tmp_path / "grid.csv"
+    assert main(["bench", "grid", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(field) in err
+    assert not out.exists()
+
+
+def test_bench_reads_an_integral_float_as_the_integer(workdir, tmp_path):
+    outputs = []
+    for number in (int, float):
+        config = _grid_config(workdir, tmp_path, grid={"drift_class": number(2)},
+                              replicates=number(5))
+        outputs.append(tmp_path / f"grid-{number.__name__}.csv")
+        assert main(["bench", "grid", "--config", str(config), "--out",
+                     str(outputs[-1])]) == EXIT_OK
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()

@@ -14,6 +14,31 @@ from driftmon import (
     sample_training,
     skl_gaussian,
 )
+from driftmon.seeding import rng_from
+
+
+def test_stream_matches_a_factorization_per_draw():
+    # the factors computed once per config give the draws of factorizing
+    # each class's covariance at every draw, bit for bit
+    cfg = GaussianMixtureConfig(
+        means=[[0.0, 0.0], [2.0, 1.0]], covs=[[[2.0, 0.5], [0.5, 1.0]], [[1.0, -0.3], [-0.3, 0.5]]],
+        post_means=[[0.0, 1.0], [2.0, 1.0]], post_covs=[[[1.0, 0.0], [0.0, 3.0]], np.eye(2)],
+        tau=40,
+    )
+    stream = generate_stream(cfg, 100, seed=4)
+    rng = rng_from(4)
+    labels = rng.choice(2, size=100, p=cfg.priors) + 1
+    post = np.arange(1, 101) > cfg.tau
+    z = rng.standard_normal((100, 2))
+    expected = np.empty_like(z)
+    for m in (1, 2):
+        for is_post in (False, True):
+            mask = (labels == m) & (post == is_post)
+            mean = (cfg.post_means if is_post else cfg.means)[m - 1]
+            cov = (cfg.post_covs if is_post else cfg.covs)[m - 1]
+            expected[mask] = mean + z[mask] @ np.linalg.cholesky(cov).T
+    assert np.array_equal(stream.y, labels)
+    assert np.array_equal(stream.x, expected)
 
 
 def test_default_two_class_geometry():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import bin_counts, tree_batch_training_counts
+from conftest import bin_counts, reference_quanttree_splits, tree_batch_training_counts
 
 from driftmon import (
     ConfigError,
@@ -45,6 +45,25 @@ def test_half_integer_allocation():
     hist = build_quanttree(training, 3, seed=8)
     assert bin_counts(hist, training).tolist() == [3, 3, 4]
     assert tree_batch_training_counts(10, 3, 9).tolist() == [3, 3, 4]  # sorted
+
+
+@pytest.mark.parametrize("kind", ["continuous", "rounded", "poisson", "binary-column"])
+def test_splits_match_the_per_split_sort(kind):
+    # one stable sort per used column, filtered as rows leave, gives the
+    # splits of sorting the remaining rows afresh at every split, ties
+    # between equal values broken by row in both
+    rng = rng_from(40)
+    for i in range(60):
+        n, d = int(rng.integers(16, 300)), (1, 2, 8)[i % 3]
+        n_bins = int(rng.choice([2, 3, 8, 16]))
+        x = rng.standard_normal((n, d))
+        if kind == "rounded":
+            x = np.round(x, 1)
+        elif kind == "poisson":
+            x = rng.poisson(2.0, (n, d)).astype(float)
+        elif kind == "binary-column":
+            x[:, 0] = rng.integers(0, 2, n)
+        assert build_quanttree(x, n_bins, seed=i).splits == reference_quanttree_splits(x, n_bins, i)
 
 
 def test_one_dimensional_hand_trace():
