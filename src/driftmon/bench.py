@@ -169,7 +169,11 @@ def _run_ecdd_batch(method: EcddMethod, cfg: GaussianMixtureConfig, replicates: 
 
 def _run_sequential(method, cfg: GaussianMixtureConfig, replicates: int, length: int,
                     seed: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The reference engine: each replicate's monitor, one sample at a time."""
+    """The reference engine: each replicate's monitor, row-exact.
+
+    ``run_labeled_stream`` feeds it in chunks that stop where per-row calls
+    would stop.
+    """
     t_star, m_star = np.zeros((2, replicates), dtype=np.int64)
     for i in range(replicates):
         monitor, stream, labels = _replicate(method, cfg, length, derive_seed(seed, i))

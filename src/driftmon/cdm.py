@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .qt_ewma import QtEwmaDetector
-from .quanttree import build_quanttree
+from .quanttree import build_quanttree, locate_bins
 from .thresholds import ThresholdTable
 
 
@@ -38,24 +38,57 @@ class CdmMonitor:
         self.skipped_unknown = 0
 
     def process(self, x, y: int) -> Optional[Detection]:
-        """Route one labeled sample to its class detector.
+        """Route one labeled sample to its class detector: a one-row batch.
 
         Returns the detection once it happens (idempotently afterwards),
         None while monitoring continues. A rejected sample changes nothing.
         """
+        return self.process_batch(np.asarray(x, dtype=float).reshape(1, -1), [y], [True])
+
+    def process_batch(self, x, y, labeled) -> Optional[Detection]:
+        """Process rows as ``process``/``process_unlabeled`` would, one by one.
+
+        ``x``, ``y`` and ``labeled`` are the three arrays of a
+        ``LabeledStream`` chunk (``y`` is ignored where ``labeled`` is
+        false). Each class's rows are binned by one ``locate_bins`` call,
+        then stepped through their detectors in stream order; processing
+        stops at the first detection. A row that a per-row call would
+        reject (an unseen label under the strict rule, a labeled row of
+        the wrong width or with a non-finite feature) raises that call's
+        ``InputError`` after the rows before it are processed, unless
+        they detected.
+        """
         if self.detection is not None:
             return self.detection
-        detector = self.detectors.get(int(y))
-        if detector is None:
-            if not self.lenient_labels:
-                raise InputError(f"unseen class label {y!r}")
-            self.global_t += 1
-            self.skipped_unknown += 1
-            return None
-        _, detected = detector.update(x)  # locates the bin before any state moves
-        self.global_t += 1
-        if detected:
-            self.detection = Detection(t_star=self.global_t, m_star=int(y))
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=np.int64)
+        labeled = np.asarray(labeled, dtype=bool)
+        classes = sorted(self.detectors)
+        slot = np.searchsorted(classes, y).clip(max=len(classes) - 1)  # y's class, if any
+        known = labeled & (np.take(classes, slot) == y)
+        sized = np.array([self.detectors[m].hist.dim == x.shape[1] for m in classes])
+        rejected = known & ~(sized[slot] & np.isfinite(x).all(axis=1))
+        if not self.lenient_labels:
+            rejected |= labeled & ~known
+        stop = int(rejected.argmax()) if rejected.any() else len(x)
+        rows = np.flatnonzero(known[:stop])
+        bins = np.empty(len(rows), dtype=np.int64)
+        for j in np.flatnonzero(np.bincount(slot[rows], minlength=len(classes))).tolist():
+            of_m = slot[rows] == j
+            bins[of_m] = locate_bins(self.detectors[classes[j]].hist, x[rows[of_m]])
+        base = self.global_t
+        for i, m, b in zip(rows.tolist(), y[rows].tolist(), bins.tolist()):
+            if self.detectors[m].update_from_bin(b)[1]:
+                stop = i + 1
+                self.detection = Detection(t_star=base + stop, m_star=m)
+                break
+        self.global_t = base + stop
+        self.skipped_unknown += int((labeled[:stop] & ~known[:stop]).sum())
+        if self.detection is None and stop < len(x):
+            label = int(y[stop])
+            if label not in self.detectors:
+                raise InputError(f"unseen class label {label!r}")
+            self.detectors[label].update(x[stop])  # raises before any state moves
         return self.detection
 
     def process_unlabeled(self, x) -> Optional[Detection]:
@@ -120,17 +153,43 @@ def fit_cdm(train_x, train_y, thresholds: ThresholdTable, n_bins: int | None = N
     return CdmMonitor(detectors, lenient_labels=lenient_labels)
 
 
+CHUNK_ROWS = 128  # rows that run_labeled_stream hands to one process_batch call
+
+
 def run_labeled_stream(monitor, stream) -> Optional[Detection]:
     """Feed (x, y) pairs (y None = unlabeled) until detection or exhaustion.
 
     ``monitor`` is a ``CdmMonitor`` or an ``ecdd.EcddMonitor``; this is the
-    one loop over a labeled stream, for the CLI and the bench alike.
+    one loop over a labeled stream, for the CLI and the bench alike. Rows
+    go to ``monitor.process_batch`` in chunks of up to ``CHUNK_ROWS`` rows
+    of one width, which leaves the monitor as per-row calls would, so the
+    stream may be read up to one chunk past the detection. An exception
+    from the stream itself (a malformed CSV row) is raised after the rows
+    read before it are processed, and only if they did not detect.
     """
-    for x, y in stream:
-        if y is None:
-            detection = monitor.process_unlabeled(x)
-        else:
-            detection = monitor.process(x, y)
-        if detection is not None:
-            return detection
+    rows = iter(stream)
+    carry: list = []
+    while monitor.detection is None:
+        chunk, carry, failure, exhausted = carry, [], None, False
+        try:
+            for x, y in rows:
+                x = np.asarray(x, dtype=float).ravel()
+                if chunk and x.size != chunk[0][0].size:
+                    carry = [(x, y)]
+                    break
+                chunk.append((x, y))
+                if len(chunk) == CHUNK_ROWS:
+                    break
+            else:
+                exhausted = True
+        except Exception as exc:  # raised below unless the rows before it detect
+            failure = exc
+        if chunk:
+            monitor.process_batch(np.stack([x for x, _ in chunk]),
+                                  [0 if y is None else y for _, y in chunk],
+                                  [y is not None for _, y in chunk])
+        if failure is not None and monitor.detection is None:
+            raise failure
+        if exhausted:
+            break
     return monitor.detection

@@ -88,6 +88,12 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_monitor(args) -> int:
+    """Fit a monitor on --train and run it over --stream, read in chunks.
+
+    The JSON report is the one per-row processing would give; a malformed
+    row after the detection is not reached by that processing, and is
+    not reported.
+    """
     train = read_csv_stream(args.train, args.lenient_labels)
     if not train.labeled.all():
         raise ConfigError(f"--train {args.train}: every training row needs a label")

@@ -93,11 +93,23 @@ def ecdd_update(state: EcddState, error: int) -> tuple[float, bool]:
     return state.u, state.detected
 
 
-def _check_width(x, dim: int) -> np.ndarray:
+def _check_features(x, dim: int) -> np.ndarray:
+    """Rows of ``dim`` finite features, or ``InputError`` (width first)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != dim:
         raise InputError(f"expected {dim} features, got {x.shape[1]}")
+    if not np.isfinite(x).all():
+        raise InputError("features contain non-finite values")
     return x
+
+
+KNN_BLOCK = 2**18  # elements of the largest temporary in KnnClassifier.predict
+# Screening slack per unit of ||x||^2 + ||t||^2, and per underflow: a
+# rounding bound of c (d + 4) u with u = 2^-53 and a safety factor c = 8
+# over the (5d + 9) u that the expansion and the direct sum can differ by
+# (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).
+_SLACK_C = 8.0
+_UNIT = 2.0**-53
 
 
 class KnnClassifier:
@@ -114,6 +126,7 @@ class KnnClassifier:
         self.train_x: np.ndarray | None = None
         self.train_y: np.ndarray | None = None
         self.classes: np.ndarray | None = None
+        self._train_sq: np.ndarray | None = None  # ||t||^2 per training row
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "KnnClassifier":
         if self.k > len(x):
@@ -121,20 +134,60 @@ class KnnClassifier:
         self.train_x = np.asarray(x, dtype=float)
         self.train_y = np.asarray(y, dtype=np.int64)
         self.classes = np.unique(self.train_y)
+        self._train_sq = np.einsum("ij,ij->i", self.train_x, self.train_x)
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = _check_width(x, self.train_x.shape[1])
+        """Class of each row: the vote of its k nearest training rows.
+
+        The neighbours are those of a full stable sort of the distances
+        ``((x - t) ** 2).sum()``, found without one. A BLAS product screens
+        every training row t by a = ||x||^2 - 2 x.t + ||t||^2, which is
+        within delta = c (d + 4) u (||x||^2 + ||t||^2) of that distance;
+        with U the k-th smallest a + delta, the candidates are the columns
+        with a - delta <= U, a set that holds the k nearest. Only the
+        candidates' distances are computed, and the k smallest by
+        (distance, training index) vote. Rows whose squared norms come
+        within a factor 4 of overflow are sorted in full instead.
+        """
+        x = _check_features(x, self.train_x.shape[1])
         out = np.empty(len(x), dtype=np.int64)
-        chunk = max(1, 2_000_000 // max(1, self.train_x.size))  # caps the (rows, n_train, d) difference
-        for start in range(0, len(x), chunk):
-            block = x[start:start + chunk]
-            d2 = ((block[:, None, :] - self.train_x[None, :, :]) ** 2).sum(axis=2)
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-            labels = self.train_y[nearest]
+        # (rows, n_train) screens, and up to rows x n_train candidates of d features
+        rows = max(1, KNN_BLOCK // self.train_x.size)
+        for start in range(0, len(x), rows):
+            labels = self.train_y[self._nearest(x[start:start + rows])]
             votes = np.stack([(labels == c).sum(axis=1) for c in self.classes], axis=1)
-            out[start:start + len(block)] = self.classes[votes.argmax(axis=1)]
+            out[start:start + len(labels)] = self.classes[votes.argmax(axis=1)]
         return out
+
+    def _nearest(self, x: np.ndarray) -> np.ndarray:
+        """Training indices of each row's k nearest, by (distance, index)."""
+        t, k = self.train_x, self.k
+        x_sq = np.einsum("ij,ij->i", x, x)
+        nearest = np.empty((len(x), k), dtype=np.int64)
+        screened = np.isfinite(4.0 * (x_sq + self._train_sq.max()))
+        for i in np.flatnonzero(~screened):
+            nearest[i] = np.argsort(((x[i] - t) ** 2).sum(axis=1), kind="stable")[:k]
+        if not screened.all():
+            x, x_sq = x[screened], x_sq[screened]
+        if not len(x):
+            return nearest
+        scale = x_sq[:, None] + self._train_sq
+        a = x @ t.T
+        a *= -2.0
+        a += scale
+        slack = scale
+        slack *= _SLACK_C * (t.shape[1] + 4) * _UNIT
+        slack += _SLACK_C * (t.shape[1] + 4) * np.finfo(float).tiny
+        upper = a + slack
+        upper.partition(k - 1, axis=1)
+        a -= slack
+        rows, cols = np.nonzero(a <= upper[:, k - 1:k])
+        dist = ((x[rows] - t[cols]) ** 2).sum(axis=1)
+        order = np.lexsort((dist, rows))  # stable: equal distances keep index order
+        first = np.concatenate(([0], np.bincount(rows, minlength=len(x)).cumsum()[:-1]))
+        nearest[screened] = cols[order[first[:, None] + np.arange(k)]]
+        return nearest
 
 
 class LdaClassifier:
@@ -172,7 +225,7 @@ class LdaClassifier:
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = _check_width(x, self.weights.shape[0])
+        x = _check_features(x, self.weights.shape[0])
         scores = x @ self.weights + self.biases
         return self.classes[scores.argmax(axis=1)]
 
@@ -229,7 +282,7 @@ def cross_val_error(kind: str, x, y, seed: int = 0, k: int = DEFAULT_KNN_K) -> f
 
 
 class EcddMonitor:
-    """The chart over a fixed classifier, fed one stream sample at a time.
+    """The chart over a fixed classifier, fed a stream in chunks or by sample.
 
     It keeps the monitor interface of ``cdm.CdmMonitor``: ``process``,
     ``process_unlabeled`` and ``report``, with detection times in global
@@ -246,14 +299,45 @@ class EcddMonitor:
     def process(self, x, y: int) -> Optional[Detection]:
         """Classify one labeled sample and fold its error into the chart.
 
-        Classifying comes first, so a rejected sample changes nothing.
+        A one-row ``process_batch``: a rejected sample changes nothing.
+        """
+        return self.process_batch(np.asarray(x, dtype=float).reshape(1, -1), [y], [True])
+
+    def process_batch(self, x, y, labeled) -> Optional[Detection]:
+        """Process rows as ``process``/``process_unlabeled`` would, one by one.
+
+        ``x``, ``y`` and ``labeled`` are the three arrays of a
+        ``LabeledStream`` chunk. The labeled rows are classified in one
+        ``predict`` call, and their errors are folded into the chart in
+        stream order until it fires. A labeled row that ``predict``
+        rejects (the wrong width, a non-finite feature) raises its
+        ``InputError`` after the rows before it are processed, unless
+        they detected.
         """
         if self.detection is not None:
             return self.detection
-        error = int(self.classifier.predict(x)[0] != y)
-        self.global_t += 1
-        if ecdd_update(self.state, error)[1]:
-            self.detection = Detection(t_star=self.global_t, m_star=None)
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=np.int64)
+        rows = np.flatnonzero(labeled)
+        finite = np.isfinite(x[rows]).all(axis=1)
+        stop = int(rows[finite.argmin()]) if not finite.all() else len(x)
+        rows = rows[rows < stop]
+        base = self.global_t
+        try:
+            errors = (self.classifier.predict(x[rows]) != y[rows]) if rows.size else []
+        except InputError:  # a width mismatch, which the first labeled row raises
+            self.global_t = base + int(rows[0])
+            raise
+        for i, error in zip(rows.tolist(), np.asarray(errors, dtype=np.int64).tolist()):
+            if ecdd_update(self.state, error)[1]:
+                stop = i + 1
+                self.detection = Detection(t_star=base + stop, m_star=None)
+                break
+        self.global_t = base + stop
+        if self.detection is None and stop < len(x):
+            # the row's own error: knn and lda raise a width mismatch first
+            self.classifier.predict(x[stop:stop + 1])
+            raise InputError("features contain non-finite values")
         return self.detection
 
     def process_unlabeled(self, x) -> Optional[Detection]:

@@ -21,6 +21,7 @@ from .seeding import rng_from
 
 LOWER = "lower"  # bin is {x : x[dim] <= threshold}
 UPPER = "upper"  # bin is {x : x[dim] >  threshold}
+LOCATE_BLOCK = 2**18  # elements of the (rows, K-1) split tests locate_bins holds at once
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,13 @@ class QuantTreeHistogram:
     @property
     def n_bins(self) -> int:
         return len(self.splits) + 1
+
+    @functools.cached_property
+    def split_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The splits as arrays: dims, thresholds and an is-UPPER flag."""
+        return (np.array([s.dim for s in self.splits], dtype=np.int64),
+                np.array([s.threshold for s in self.splits]),
+                np.array([s.direction == UPPER for s in self.splits]))
 
 
 def uniform_probs(n_bins: int) -> np.ndarray:
@@ -147,11 +155,13 @@ def locate_bins(hist: QuantTreeHistogram, dataset) -> np.ndarray:
         raise InputError(f"expected {hist.dim} columns, got {x.shape[1]}")
     if not np.all(np.isfinite(x)):
         raise InputError("dataset contains non-finite values")
-    out = np.full(x.shape[0], hist.n_bins - 1, dtype=np.int64)
-    unassigned = np.ones(x.shape[0], dtype=bool)
-    for k, s in enumerate(hist.splits):
-        col = x[:, s.dim]
-        cond = col <= s.threshold if s.direction == LOWER else col > s.threshold
-        out[unassigned & cond] = k
-        unassigned &= ~cond
+    dims, thresholds, upper = hist.split_table
+    out = np.empty(x.shape[0], dtype=np.int64)
+    rows = max(1, LOCATE_BLOCK // len(dims))
+    for start in range(0, len(x), rows):
+        # inside[i, k]: row i lies in split k's half-space (finite values:
+        # x <= thr is not x > thr); its bin is the first such k, else K-1
+        inside = (x[start:start + rows, dims] > thresholds) == upper
+        out[start:start + len(inside)] = np.where(inside.any(axis=1), inside.argmax(axis=1),
+                                                  hist.n_bins - 1)
     return out

@@ -12,7 +12,8 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from driftmon import GaussianMixtureConfig, build_quanttree, calibrate_thresholds, locate_bins
+from driftmon import (CdmMonitor, Detection, EcddMonitor, GaussianMixtureConfig, InputError,
+                      build_quanttree, calibrate_thresholds, ecdd_update, locate_bins)
 from driftmon.calibration import _uniform_tree_batch
 from driftmon.quanttree import LOWER, UPPER, Split
 from driftmon.qt_ewma import ewma_step
@@ -138,6 +139,59 @@ def reference_uniform_tree_batch(n_train, n_bins, n_rep, rng) -> np.ndarray:
         ri -= ~lower
         n_rem -= count
     return edges
+
+
+def reference_knn_predict(train_x, train_y, k, x) -> np.ndarray:
+    """The predictions ``KnnClassifier.predict`` must give, from a full sort.
+
+    Every distance ``((x - t) ** 2).sum()`` is computed, and a stable
+    sort of each row's distances picks the k nearest, ties by training
+    index; the vote goes to the most frequent label, ties to the smallest.
+    """
+    train_x = np.asarray(train_x, dtype=float)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    classes = np.unique(train_y)
+    out = np.empty(len(x), dtype=np.int64)
+    chunk = max(1, 2_000_000 // max(1, train_x.size))  # caps the (rows, n_train, d) difference
+    for start in range(0, len(x), chunk):
+        block = x[start:start + chunk]
+        d2 = ((block[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        labels = np.asarray(train_y)[nearest]
+        votes = np.stack([(labels == c).sum(axis=1) for c in classes], axis=1)
+        out[start:start + len(block)] = classes[votes.argmax(axis=1)]
+    return out
+
+
+def reference_process(monitor, x, y):
+    """One labeled row the way ``process`` handled it before chunks.
+
+    A ``CdmMonitor`` routes the row through ``QtEwmaDetector.update``
+    (``locate_bin`` on the one row); an ``EcddMonitor`` classifies the
+    one row and folds its error through ``ecdd_update``. Rejected rows
+    raise before any state moves.
+    """
+    if monitor.detection is not None:
+        return monitor.detection
+    if isinstance(monitor, EcddMonitor):
+        error = int(monitor.classifier.predict(x)[0] != y)
+        monitor.global_t += 1
+        if ecdd_update(monitor.state, error)[1]:
+            monitor.detection = Detection(t_star=monitor.global_t, m_star=None)
+        return monitor.detection
+    assert isinstance(monitor, CdmMonitor)
+    detector = monitor.detectors.get(int(y))
+    if detector is None:
+        if not monitor.lenient_labels:
+            raise InputError(f"unseen class label {y!r}")
+        monitor.global_t += 1
+        monitor.skipped_unknown += 1
+        return None
+    _, detected = detector.update(x)
+    monitor.global_t += 1
+    if detected:
+        monitor.detection = Detection(t_star=monitor.global_t, m_star=int(y))
+    return monitor.detection
 
 
 def stationary_trajectory(train_size, n_bins, lam, horizon, seed) -> np.ndarray:

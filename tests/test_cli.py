@@ -191,6 +191,24 @@ def test_malformed_csv_row_reports_number(workdir, capsys, tmp_path):
             assert code == EXIT_IO and "row 2" in err, (name, row, code, err)
 
 
+def test_a_malformed_row_after_the_detection_is_never_reported(workdir, capsys, tmp_path):
+    # the stream is read in chunks, but a bad row after the detection row
+    # leaves the report as it was; one before it still stops the run
+    argv = ["monitor", "--method", "cdm", "--thresholds", str(workdir["table"]), "--k", "8",
+            "--train", str(workdir["train"]), "--stream"]
+    assert main([*argv, str(workdir["stream"])]) == EXIT_OK
+    report = capsys.readouterr().out
+    t_star = json.loads(report)["t_star"]
+    lines = workdir["stream"].read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines[:t_star] + ["x,1.0,1"] + lines[t_star:]) + "\n")
+    assert main([*argv, str(bad)]) == EXIT_OK
+    assert capsys.readouterr().out == report
+    bad.write_text("\n".join(lines[:t_star - 1] + ["x,1.0,1"] + lines[t_star - 1:]) + "\n")
+    assert main([*argv, str(bad)]) == EXIT_IO
+    assert f"row {t_star}:" in capsys.readouterr().err
+
+
 def bench_config(workdir, **overrides):
     cfg = {
         "format_version": 1,

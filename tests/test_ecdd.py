@@ -1,8 +1,12 @@
+import importlib.util
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import reference_knn_predict
 
 from driftmon import (ConfigError, EcddMonitor, InputError, cross_val_error, ecdd_init,
                       ecdd_update, fit_classifier, run_labeled_stream)
@@ -149,8 +153,79 @@ def test_knn_predict_memory_is_bounded_by_the_training_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2**20
+    assert peak < 4 * 2**20  # no temporary above KNN_BLOCK = 2^18 elements (2 MB)
     assert np.array_equal(batch, [clf.predict(row[None])[0] for row in x])
+
+
+def knn_dataset(case, rng):
+    """(train_x, train_y, k, queries) of one kind of kNN input.
+
+    The feature count cycles through 1, 8 and 9: numpy's pairwise sum
+    takes another path past 8 terms, so each must meet the reference.
+    """
+    d = int(rng.choice([1, 8, 9]))
+    n = int(rng.integers(12, 200))
+    k = int(rng.integers(1, 15))
+    if case == "continuous":
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        train = rng.standard_normal((n, d)) * scale + rng.uniform(-5.0, 5.0) * scale
+        queries = rng.standard_normal((150, d)) * scale + train.mean(axis=0)
+    elif case == "grid":  # many rows at equal distances: ties by training index
+        train = rng.integers(-2, 3, (n, d)).astype(float)
+        queries = rng.integers(-2, 3, (150, d)) + rng.choice([0.0, 0.5], (150, d))
+    elif case == "duplicates":  # queries on training rows: distance 0
+        train = np.round(rng.standard_normal((n, d)), 1)
+        queries = train[rng.integers(0, n, 150)]
+        queries[::3] += rng.standard_normal((50, d)) * 1e-9
+    elif case == "k-extremes":
+        k = 1 if rng.random() < 0.5 else n
+        train = rng.standard_normal((n, d))
+        train[rng.random(n) < 0.3] = 0.0
+        queries = rng.standard_normal((150, d))
+    else:  # "huge": squared norms near overflow fall back to the full sort
+        high = 10.0 ** rng.choice([140.0, 200.0])
+        train = rng.standard_normal((n, d)) * high
+        queries = np.vstack([rng.standard_normal((50, d)) * 1e200,
+                             rng.standard_normal((50, d)) * 1e154,
+                             rng.standard_normal((50, d)) * high])
+    labels = rng.integers(1, 4, n)
+    labels[:2] = [1, 2]
+    return train, labels, min(k, n), queries
+
+
+@pytest.mark.parametrize("case", ["continuous", "grid", "duplicates", "k-extremes", "huge"])
+def test_knn_predict_matches_the_full_sort(case):
+    # 5 x 48 = 240 datasets, each predicted in one call and by a full sort
+    rng = rng_from(40)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(48):
+            train, labels, k, queries = knn_dataset(case, rng)
+            clf = KnnClassifier(k).fit(train, labels)
+            assert np.array_equal(clf.predict(queries),
+                                  reference_knn_predict(train, labels, k, queries))
+
+
+def perfbench_monitor_training(seed):
+    """The training set of perfbench's ``monitor`` workload at ``seed``."""
+    here = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", here / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(here))  # workloads.py imports reference.py by name
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.path.remove(str(here))
+        del sys.modules[spec.name]
+    return workloads.ref.monitor_inputs(seed, workloads.MONITOR["full"])[0]
+
+
+def test_cross_val_error_is_unchanged_on_the_monitor_training_set(monkeypatch):
+    x, y = perfbench_monitor_training(1)
+    p0 = cross_val_error("knn", x, y, seed=0, k=9)
+    monkeypatch.setattr(KnnClassifier, "predict", lambda self, q: reference_knn_predict(
+        self.train_x, self.train_y, self.k, q))
+    assert p0 == cross_val_error("knn", x, y, seed=0, k=9)
 
 
 def test_knn_k_too_large():
@@ -252,6 +327,26 @@ def test_rejected_sample_leaves_the_monitor_unchanged(kind):
     assert (monitor.global_t, vars(monitor.state)) == before
     assert before[0] == 2 and before[1]["n_seen"] == 1
     assert monitor.detection is None
+
+
+@pytest.mark.parametrize("kind", ["knn", "lda"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_sample_leaves_the_monitor_unchanged(kind, bad):
+    x, y = two_class_data(2.0, n=100, seed=15)
+    clf = fit_classifier(kind, x, y)
+    with pytest.raises(InputError, match="non-finite"):
+        clf.predict(np.array([[bad, 0.0]]))
+    monitor = EcddMonitor(clf, ecdd_init(0.1, 0.2, limit=2.0))
+    monitor.process(x[0], int(y[0]))
+    monitor.process_unlabeled(x[1])
+    before = (monitor.global_t, vars(monitor.state).copy())
+    with pytest.raises(InputError, match="non-finite"):
+        monitor.process(np.array([bad, 0.0]), 1)
+    assert (monitor.global_t, vars(monitor.state)) == before
+    with pytest.raises(InputError, match="non-finite"):
+        monitor.process_batch(np.array([[bad, 0.0], [0.0, 0.0]]), [1, 1], [True, True])
+    assert (monitor.global_t, vars(monitor.state)) == before
+    assert before[0] == 2 and before[1]["n_seen"] == 1 and monitor.detection is None
 
 
 class ConstantClassifier:

@@ -1,0 +1,201 @@
+"""``process_batch`` against the per-row path, chunk size by chunk size.
+
+Every stream runs once row by row through ``conftest.reference_process``
+(the routing before chunks) and ``process_unlabeled``, and once through
+``process_batch`` in chunks of 1, 7, 64 rows and the whole stream. Both
+must leave the monitor in the same state and raise at the same row.
+"""
+
+import numpy as np
+import pytest
+from conftest import reference_process
+
+from driftmon import (CdmMonitor, EcddMonitor, InputError, ecdd_init, fit_cdm, fit_classifier,
+                      run_labeled_stream)
+from driftmon.seeding import rng_from
+
+CHUNKS = [1, 7, 64, None]  # None: the whole stream in one call
+METHODS = ["cdm", "qtewma", "knn", "lda"]
+MEANS = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
+
+
+def make_monitor(method, small_table, seed, lenient=False):
+    rng = rng_from(seed)
+    y = np.repeat([1, 2, 3], 64)
+    x = MEANS[y - 1] + rng.standard_normal((len(y), 2))
+    if method == "cdm":
+        return fit_cdm(x, y, small_table, seed=seed, lenient_labels=lenient)
+    if method == "qtewma":  # pooled: one detector on 64 rows, all labeled 1
+        return fit_cdm(x[::3], np.ones(64, dtype=int), small_table, seed=seed,
+                       lenient_labels=lenient)
+    return EcddMonitor(fit_classifier(method, x, y, k=5), ecdd_init(0.2, 0.2, limit=3.0))
+
+
+def make_stream(method, seed, length=300, drift_at=120):
+    """A 3-class stream with unlabeled rows whose class 2 moves after ``drift_at``."""
+    rng = rng_from(seed)
+    y = rng.integers(1, 4, length)
+    x = MEANS[y - 1] + rng.standard_normal((length, 2))
+    x[(np.arange(length) >= drift_at) & (y == 2)] += [-3.0, 2.5]
+    if method == "qtewma":
+        y[:] = 1
+    labeled = rng.random(length) >= 0.2
+    return x, y, labeled
+
+
+def state(monitor):
+    """Everything the oracle compares: the report, the counters and each
+    detector's EWMA frequencies (CDM) or the whole chart (ECDD)."""
+    if isinstance(monitor, CdmMonitor):
+        inner = {m: (d.t, d.z.tolist(), d.detected, d.detection_time)
+                 for m, d in monitor.detectors.items()}
+    else:
+        inner = dict(vars(monitor.state))
+    return monitor.report(), monitor.global_t, monitor.detection, inner
+
+
+def run_rows(monitor, x, y, labeled):
+    """Per-row processing; the InputError raised, if any, is returned."""
+    try:
+        for i in range(len(x)):
+            if labeled[i]:
+                reference_process(monitor, x[i], int(y[i]))
+            else:
+                monitor.process_unlabeled(x[i])
+    except InputError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def run_chunks(monitor, x, y, labeled, size):
+    size = size or len(x)
+    try:
+        for start in range(0, len(x), size):
+            end = start + size
+            monitor.process_batch(x[start:end], y[start:end], labeled[start:end])
+    except InputError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def assert_chunks_match_rows(method, small_table, seed, x, y, labeled, lenient=False):
+    rows = make_monitor(method, small_table, seed, lenient)
+    expected = run_rows(rows, x, y, labeled)
+    for size in CHUNKS:
+        chunked = make_monitor(method, small_table, seed, lenient)
+        assert run_chunks(chunked, x, y, labeled, size) == expected, size
+        assert state(chunked) == state(rows), size
+    return rows, expected
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_chunks_match_rows_on_clean_streams(method, small_table):
+    detected = 0
+    for seed in range(6):
+        x, y, labeled = make_stream(method, 100 + seed)
+        rows, error = assert_chunks_match_rows(method, small_table, seed, x, y, labeled)
+        assert error is None
+        detected += rows.detection is not None
+    assert detected > 0  # the streams reach a detection mid-chunk
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_chunks_match_rows_with_lenient_unknown_labels(method, small_table):
+    x, y, labeled = make_stream(method, 120)
+    y[np.random.default_rng(0).random(len(y)) < 0.1] = 7  # no class 7 in training
+    rows, error = assert_chunks_match_rows(method, small_table, 3, x, y, labeled, lenient=True)
+    assert error is None
+    if method in ("cdm", "qtewma"):
+        assert rows.skipped_unknown > 0
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("fault", ["nan", "inf", "unseen-label"])
+def test_a_rejected_row_raises_at_its_own_row(method, fault, small_table):
+    # the stream stops at row 12 (labeled), mid-chunk for 7 and 64; rows
+    # before it are processed, so the monitor stands as after row 11
+    x, y, labeled = make_stream(method, 130, drift_at=10**6)
+    labeled[12] = True
+    if fault == "unseen-label":
+        y[12] = 7
+    else:
+        x[12, 1] = np.nan if fault == "nan" else -np.inf
+    rows, error = assert_chunks_match_rows(method, small_table, 4, x, y, labeled)
+    if fault == "unseen-label" and method in ("knn", "lda"):
+        assert error is None  # the chart counts an unknown label as an error
+    else:
+        assert error is not None and error[0] is InputError
+        assert rows.global_t == 12 and rows.detection is None
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_rows_after_a_detection_are_not_rejected(method, small_table):
+    x, y, labeled = make_stream(method, 140, drift_at=0)
+    rows = make_monitor(method, small_table, 5)
+    assert run_rows(rows, x, y, labeled) is None and rows.detection is not None
+    t_star = rows.detection.t_star
+    assert t_star < len(x) - 2
+    x[t_star, 0] = np.nan  # the rows after the detection row are all bad
+    labeled[t_star:] = True
+    y[t_star + 1:] = 7
+    for size in CHUNKS:
+        chunked = make_monitor(method, small_table, 5)
+        assert run_chunks(chunked, x, y, labeled, size) is None, size
+        assert state(chunked) == state(rows), size
+
+
+def test_process_is_a_one_row_batch(small_table):
+    x, y, labeled = make_stream("cdm", 150)
+    one, batch = make_monitor("cdm", small_table, 6), make_monitor("cdm", small_table, 6)
+    for i in range(len(x)):
+        if labeled[i]:
+            one.process(x[i], int(y[i]))
+        else:
+            one.process_unlabeled(x[i])
+        batch.process_batch(x[i:i + 1], y[i:i + 1], labeled[i:i + 1])
+        assert state(one) == state(batch)
+
+
+class FailingRows:
+    """Yields ``rows``, then raises the way a malformed CSV row does."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __iter__(self):
+        yield from self.rows
+        raise InputError("row 999: malformed")
+
+
+@pytest.mark.parametrize("method", ["cdm", "knn"])
+def test_run_labeled_stream_defers_a_stream_error_past_the_detection(method, small_table):
+    x, y, labeled = make_stream(method, 160, drift_at=0)
+    pairs = [(x[i], int(y[i]) if labeled[i] else None) for i in range(len(x))]
+    rows = make_monitor(method, small_table, 7)
+    run_rows(rows, x, y, labeled)
+    t_star = rows.detection.t_star
+    # the stream fails one row after the detection, within the same chunk
+    after = make_monitor(method, small_table, 7)
+    assert run_labeled_stream(after, FailingRows(pairs[:t_star + 1])) == rows.detection
+    assert state(after) == state(rows)
+    # ... and one row before it: the rows read so far are processed first
+    before = make_monitor(method, small_table, 7)
+    with pytest.raises(InputError, match="row 999"):
+        run_labeled_stream(before, FailingRows(pairs[:t_star - 1]))
+    assert before.global_t == t_star - 1 and before.detection is None
+
+
+def test_run_labeled_stream_starts_a_chunk_at_a_width_change(small_table):
+    # unlabeled rows of another width pass, as they pass process_unlabeled;
+    # a labeled one raises at its row
+    x, y, labeled = make_stream("cdm", 170, drift_at=10**6)
+    pairs = [(x[i], int(y[i])) for i in range(10)]
+    pairs[4] = (np.zeros(3), None)
+    monitor = make_monitor("cdm", small_table, 8)
+    assert run_labeled_stream(monitor, pairs) is None
+    assert monitor.global_t == 10
+    pairs[6] = (np.zeros(3), int(y[6]))
+    monitor = make_monitor("cdm", small_table, 8)
+    with pytest.raises(InputError, match="expected a vector of length 2"):
+        run_labeled_stream(monitor, pairs)
+    assert monitor.global_t == 6

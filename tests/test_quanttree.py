@@ -93,10 +93,11 @@ def test_locate_bins_matches_locate_bin():
     training = rng.standard_normal((128, 3))
     hist = build_quanttree(training, 8, seed=13)
     points = rng.standard_normal((500, 3))
+    for k, s in enumerate(hist.splits):  # rows on a threshold: "<=" puts them below
+        points[k, s.dim] = s.threshold
     vec = locate_bins(hist, points)
     assert vec.shape == (500,)
-    for i in range(0, 500, 17):
-        assert vec[i] == locate_bin(hist, points[i])
+    assert vec.tolist() == [locate_bin(hist, p) for p in points]
 
 
 def test_partition_totality():
