@@ -10,16 +10,14 @@ time from the training uniforms replayed in blocks, reading only the two
 order statistics around each edge, so their memory is bounded by the
 block and chunk x K, not by chunk x N. A step costs O(survivors): each draw
 finds its interval by a binary search over its replicate's sorted
-edges, the recursion touches one weight per survivor, and only the
-survivors' row index and statistic are compacted. The peeling quantile
-scheme then sets (h_t, gamma_t) so that the conditional probability of
-firing under the randomized rule (S_t > h_t, or S_t == h_t with
-probability gamma_t) is a constant alpha at every step, including the
-first steps where the statistic takes only a handful of values.
-Calibration and replay share the peeling loop ``_peel`` over
-``qt_ewma.ewma_step`` and ``qt_ewma.fires``. The ECDD limit is solved
-exactly, with no search, from the running-maximum records of charts
-stepped by ``ecdd.ecdd_step``.
+edges, and ``qt_ewma.lockstep``, the loop calibration, replay and the
+batch engine share, touches one weight per survivor. The peeling
+quantile scheme then sets (h_t, gamma_t) so that the conditional
+probability of firing under the randomized rule (S_t > h_t, or S_t ==
+h_t with probability gamma_t) is a constant alpha at every step,
+including the first steps where the statistic takes only a handful of
+values. The ECDD limit is solved exactly, with no search, from the
+running-maximum records of charts stepped by ``ecdd.ecdd_step``.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import numpy as np
 
 from .ecdd import DEFAULT_PRIOR_WEIGHT, ecdd_step
 from .errors import CalibrationError, ConfigError
-from .qt_ewma import ewma_step, fires
+from .qt_ewma import lockstep
 from .quanttree import _bin_allocation
 from .seeding import rng_from
 from .thresholds import ThresholdTable
@@ -115,13 +113,12 @@ def _peel(train_size: int, n_bins: int, replicates: int, lam: float, horizon: in
           rng: np.random.Generator, rule) -> tuple[np.ndarray, np.ndarray]:
     """Build the replicates' histograms, ``TREE_CHUNK`` at a time, then peel.
 
-    Each step streams fresh uniforms through the survivors, ``rule(t,
-    stat)`` gives (h_t, gamma_t), and those that fire are removed; tie
-    uniforms follow the step's sample draws. Peeling ends after
-    ``horizon`` steps, or at the first step whose rule returns None
-    (the only end when ``horizon`` is None). The (replicates, K) edges
-    and weights stay in place, indexed by the survivors' rows. Returns
-    (exceedances, at_risk) per completed step.
+    Each step of ``qt_ewma.lockstep`` streams fresh uniforms through the
+    survivors, ``rule(t, stat)`` gives (h_t, gamma_t), and those that fire
+    are removed; tie uniforms follow the step's sample draws. Peeling
+    ends after ``horizon`` steps, or at the first step whose rule returns
+    None (the only end when ``horizon`` is None). Returns (exceedances,
+    at_risk) per completed step.
     """
     edges = np.empty((replicates, (1 << (n_bins - 1).bit_length()) - 1))
     for start in range(0, replicates, TREE_CHUNK):
@@ -129,22 +126,14 @@ def _peel(train_size: int, n_bins: int, replicates: int, lam: float, horizon: in
         edges[start:stop, :n_bins - 1] = _uniform_tree_batch(train_size, n_bins,
                                                              stop - start, rng)
         edges[start:stop, n_bins - 1:] = 2.0  # padding above every uniform
-    w = np.full((replicates, n_bins), 1.0 / n_bins)
-    scale = 1.0
-    stat = np.zeros(replicates)
-    alive = np.arange(replicates)
+    steps = itertools.count(1) if horizon is None else range(1, horizon + 1)
     exceed, at_risk = [], []
-    for t in itertools.count(1) if horizon is None else range(1, horizon + 1):
-        b = _interval_index(edges, alive, rng.random(alive.size))
-        stat, scale = ewma_step(w, scale, stat, alive * n_bins + b, lam)
-        step_rule = rule(t, stat)
-        if step_rule is None:
-            break
-        fire = fires(stat, *step_rule, lambda tied: rng.random(tied.size))
-        at_risk.append(alive.size)
+    for _, rows, fire in lockstep(
+            replicates, n_bins, lam, steps,
+            lambda t, rows: _interval_index(edges, rows, rng.random(rows.size)),
+            rule, lambda t, tied: rng.random(tied.size)):
+        at_risk.append(rows.size)
         exceed.append(int(fire.sum()))
-        keep = ~fire
-        alive, stat = alive[keep], stat[keep]
     return np.array(exceed, dtype=np.int64), np.array(at_risk, dtype=np.int64)
 
 
@@ -238,9 +227,8 @@ def replay_exceedance(table: ThresholdTable, replicates: int, seed: int,
     if replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {replicates}")
     horizon = table.t_max if horizon is None else horizon
-    h, gamma = table.head(horizon)
     return _peel(table.train_size, table.n_bins, replicates, table.lam, horizon,
-                 rng_from(seed), lambda t, stat: (h[t - 1], gamma[t - 1]))
+                 rng_from(seed), lambda t, stat: table.at(t))
 
 
 def _ecdd_records(error_chunks, p0: float, prior_weight: float, r: float):

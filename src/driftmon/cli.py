@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cap on the table length (default: calibrate every step "
                           "that keeps enough replicates at risk)")
     cal.add_argument("--replicates", type=int, default=100_000)
-    cal.add_argument("--seed", type=int, default=0)
+    cal.add_argument("--seed", type=_seed, default=0)
     cal.add_argument("--out", required=True)
 
     mon = sub.add_parser("monitor", help="monitor a CSV stream, print a JSON report")
@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="histogram bins K (default: the table's; must match it)")
     mon.add_argument("--lambda", dest="lam", type=float,
                      help="EWMA lambda (default: the table's; must match it)")
-    mon.add_argument("--seed", type=int, default=0)
+    mon.add_argument("--seed", type=_seed, default=0)
     mon.add_argument("--lenient-labels", action="store_true")
     mon.add_argument("--classifier", choices=list(CLASSIFIERS), default="knn")
     mon.add_argument("--knn-k", type=int, default=DEFAULT_KNN_K)
@@ -169,7 +169,7 @@ def _field(raw: dict, name: str, convert, default=None):
         return default
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"config field {name!r}: {exc}") from exc
 
 
@@ -178,6 +178,17 @@ def _integer(value) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _seed(value) -> int:
+    """A seed, from a flag's string or a config's number: a non-negative integer."""
+    try:
+        seed = _integer(value)
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value!r}")
+    return seed
 
 
 def _floats(value) -> np.ndarray:
@@ -258,7 +269,7 @@ def _write_rows(rows: list[dict], path) -> None:
 def cmd_bench(args) -> int:
     cfg = _load_config(args.config)
     mixture = _mixture_from_config(cfg.get("mixture") or {})
-    seed = _field(cfg, "seed", _integer, 0)
+    seed = _field(cfg, "seed", _seed, 0)
     replicates = _field(cfg, "replicates", _integer, 1000)
     post_length = _field(cfg, "post_length", _integer, 7000)
     raw_methods = cfg.get("methods")

@@ -123,6 +123,8 @@ class KnnClassifier:
 
     def __init__(self, k: int):
         self.k = int(k)
+        if self.k < 1:
+            raise ConfigError(f"kNN k must be >= 1, got {k}")
         self.train_x: np.ndarray | None = None
         self.train_y: np.ndarray | None = None
         self.classes: np.ndarray | None = None

@@ -3,11 +3,11 @@
 Replicates are prepared one at a time from their own derived seeds (so
 results match a strictly sequential run), then the time recursions are
 stepped in lockstep across all replicates with numpy. Rows that detect
-or run out of samples are dropped from the active set as the loop
-advances. Only the active row index and per-row vectors are compacted,
-never the (rows, K) EWMA weights, so a step costs O(active rows). The
-loop runs on the shared kernels ``qt_ewma.ewma_step``,
-``qt_ewma.fires``, ``ecdd.ecdd_step`` and ``ecdd.ecdd_fires``.
+are dropped from the active set as the loop advances. Only the active
+row index and per-row vectors are compacted, never the (rows, K) EWMA
+weights, so a step costs O(active rows). QT-EWMA rows step in
+``qt_ewma.lockstep``, the loop calibration runs; ECDD rows step on
+``ecdd.ecdd_step`` and ``ecdd.ecdd_fires``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .ecdd import ecdd_fires, ecdd_step
 from .errors import ConfigError, InputError
-from .qt_ewma import ewma_step, fires
+from .qt_ewma import lockstep
 from .seeding import tie_uniform
 from .thresholds import ThresholdTable
 
@@ -27,39 +27,36 @@ def batch_first_exceed(bins: np.ndarray, lengths: np.ndarray, table: ThresholdTa
 
     ``bins``: (n_rows, t_pad) integer bin indices in 0..K-1, padded past
     each row's length with any of them; any other index raises
+    ``InputError``. ``lengths``: one integer in 0..t_pad per row, else
     ``InputError``. ``table`` supplies K, lambda, h_t and gamma_t.
     ``seeds``: per-row histogram seeds; a row whose statistic ties h_t
     fires when ``tie_uniform(seed, t) < gamma_t``, exactly as the online
-    detector does. Returns per-row 1-based detection steps, 0 where no
-    detection occurs.
+    detector does. A row steps on over its padding (rows share only the
+    scale, a function of t) and a crossing there counts as none. Returns
+    per-row 1-based detection steps, 0 where no detection occurs.
     """
     n_rows, t_pad = bins.shape
-    lengths = np.asarray(lengths, dtype=np.int64)
     seeds = [int(s) for s in seeds]
     if len(seeds) != n_rows:
         raise ConfigError(f"got {len(seeds)} seeds for {n_rows} rows")
+    lengths = np.asarray(lengths)
+    if lengths.shape != (n_rows,) or lengths.size and not (
+            np.issubdtype(lengths.dtype, np.integer)
+            and 0 <= lengths.min() and lengths.max() <= t_pad):
+        raise InputError(f"lengths must hold one integer in 0..{t_pad} per row "
+                         f"({n_rows} rows)")
     k = table.n_bins
     if bins.size and (bins.min() < 0 or bins.max() >= k):
         raise InputError(f"bin indices must lie in 0..{k - 1}, got {bins.min()}..{bins.max()}")
-    thresholds, gamma = table.head(t_pad)
-    w = np.full((n_rows, k), 1.0 / k)  # row i's weights; never compacted
-    scale = 1.0
-    stat = np.zeros(n_rows)
     out = np.zeros(n_rows, dtype=np.int64)
-    active = np.arange(n_rows)
-    for t in range(1, t_pad + 1):
-        has_sample = lengths[active] >= t
-        if not has_sample.all():
-            active, stat = active[has_sample], stat[has_sample]
-        if active.size == 0:
-            break
-        stat, scale = ewma_step(w, scale, stat, active * k + bins[active, t - 1], table.lam)
-        det = fires(stat, thresholds[t - 1], gamma[t - 1],
-                    lambda tied: np.array([tie_uniform(seeds[active[i]], t) for i in tied]))
-        if det.any():
-            out[active[det]] = t
-            keep = ~det
-            active, stat = active[keep], stat[keep]
+    for t, rows, fire in lockstep(
+            n_rows, k, table.lam, range(1, t_pad + 1), lambda t, rows: bins[rows, t - 1],
+            lambda t, stat: table.at(t),
+            lambda t, tied: np.array([tie_uniform(seeds[i], t) for i in tied])):
+        out[rows[fire]] = t
+        if fire.all():
+            break  # no row left at risk
+    out[out > lengths] = 0
     return out
 
 

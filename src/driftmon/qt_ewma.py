@@ -10,8 +10,8 @@ relabeling the bins leaves every S_t bit for bit the same, and the tie
 rule at the threshold sees equal statistics as equal. Z is kept as
 scale * w, with one scale shared by all bins, so a step reads and
 writes the hit bin's weight alone: O(1) per detector, not O(K). The
-recursion ``ewma_step`` and the rule ``fires`` are the one copy that the
-detector, ``engine`` and ``calibration`` run.
+recursion ``ewma_step`` and the rule ``fires`` run here alone: in the
+detector, and in ``lockstep``, the loop ``calibration`` and ``engine`` share.
 """
 
 from __future__ import annotations
@@ -67,6 +67,29 @@ def fires(stat: np.ndarray, h: float, gamma: float, tie_uniforms) -> np.ndarray:
     if tied.size:
         fire[tied] = tie_uniforms(tied) < gamma
     return fire
+
+
+def lockstep(n_rows: int, k: int, lam: float, steps, next_bins, rule, tie_uniforms):
+    """Step ``n_rows`` detectors of K bins together; yield (t, rows, fire) per step.
+
+    At each t of ``steps``, ``next_bins(t, rows)`` bins the rows at risk,
+    ``ewma_step`` advances them, ``rule(t, stat)`` gives (h_t, gamma_t), or
+    None to stop, and ``fires`` decides, drawing ``tie_uniforms(t, tied_rows)``
+    only on a tie. Rows that fire leave ``rows`` after the yield; only the
+    rows' index and S are compacted, never the (n_rows, K) weights, so a
+    step costs O(rows at risk). Stepping goes on with no row at risk.
+    """
+    w = np.full((n_rows, k), 1.0 / k)  # row i's weights; never compacted
+    scale, stat, rows = 1.0, np.zeros(n_rows), np.arange(n_rows)
+    for t in steps:
+        stat, scale = ewma_step(w, scale, stat, rows * k + next_bins(t, rows), lam)
+        step_rule = rule(t, stat)
+        if step_rule is None:
+            return
+        fire = fires(stat, *step_rule, lambda tied: tie_uniforms(t, rows[tied]))
+        yield t, rows, fire
+        keep = ~fire
+        rows, stat = rows[keep], stat[keep]
 
 
 class QtEwmaDetector:

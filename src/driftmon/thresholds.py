@@ -79,11 +79,6 @@ class ThresholdTable:
         i = min(t, len(self.thresholds)) - 1
         return float(self.thresholds[i]), float(self.gamma[i])
 
-    def head(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-        """(h, gamma) for t = 1..horizon as arrays, constant beyond t_max."""
-        i = np.minimum(np.arange(1, horizon + 1), self.t_max) - 1
-        return self.thresholds[i], self.gamma[i]
-
 
 def table_to_dict(table: ThresholdTable) -> dict:
     return {

@@ -153,6 +153,17 @@ def test_replay_exceedance_tracks_alpha(small_table):
     assert np.all(np.abs(z) <= family_wise_bound(len(z)))
 
 
+def test_replay_runs_the_horizon_after_every_replicate_has_fired():
+    # h_1 below S_1 = lam^2 (K - 1): every replicate fires at t = 1, and the
+    # replay still reports each step of the horizon, with none at risk
+    table = ThresholdTable(n_bins=16, lam=0.03, arl0_target=50.0, train_size=64,
+                           replicates=10_000, seed=0,
+                           thresholds=np.full(3, 0.5 * T1_K16_LAM003), gamma=np.zeros(3))
+    exceed, at_risk = replay_exceedance(table, 40, seed=2, horizon=5)
+    assert at_risk.tolist() == [40, 0, 0, 0, 0]
+    assert exceed.tolist() == [40, 0, 0, 0, 0]
+
+
 def test_replay_memory_does_not_grow_with_the_replicates():
     # histograms are built TREE_CHUNK = 20k at a time, so 4x the replicates
     # stay under the same bound (sorting 100k x 64 training uniforms in one

@@ -384,3 +384,53 @@ def test_bench_reads_an_integral_float_as_the_integer(workdir, tmp_path):
         assert main(["bench", "grid", "--config", str(config), "--out",
                      str(outputs[-1])]) == EXIT_OK
     assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
+@pytest.mark.parametrize("knn_k", ["0", "-2"])
+def test_monitor_refuses_a_knn_k_below_one(workdir, capsys, knn_k):
+    code = main(["monitor", "--method", "ecdd", "--train", str(workdir["train"]),
+                 "--stream", str(workdir["stream"]), "--ecdd-limit", "2.0",
+                 "--knn-k", knn_k])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "k must be >= 1" in err
+
+
+def test_bench_delay_refuses_a_knn_k_below_one(workdir, tmp_path, capsys):
+    cfg = bench_config(workdir, replicates=5)
+    cfg["methods"] = [{"kind": "ecdd", "limit": 2.0, "classifier": "knn", "knn_k": 0,
+                       "train_per_class": 40}]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "delay.csv"
+    assert main(["bench", "delay", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "k must be >= 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "monitor"])
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_seed_flags_refuse_what_is_not_a_non_negative_integer(workdir, tmp_path, capsys,
+                                                              command, seed):
+    out = tmp_path / "table.json"
+    argv = (["calibrate", "--train-size", "40", "--t-max", "170", "--out", str(out)]
+            if command == "calibrate" else
+            ["monitor", "--method", "ecdd", "--train", str(workdir["train"]),
+             "--stream", str(workdir["stream"]), "--arl0", "50"])
+    assert main([*argv, "--seed", seed]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: argument --seed: ") and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True])
+def test_bench_refuses_a_seed_that_is_not_a_non_negative_integer(workdir, tmp_path, capsys,
+                                                                 seed):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(bench_config(workdir, seed=seed)))
+    out = tmp_path / "delay.csv"
+    assert main(["bench", "delay", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'seed': ")
+    assert not out.exists()

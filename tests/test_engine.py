@@ -84,6 +84,19 @@ def test_batch_first_exceed_refuses_out_of_range_bins(small_table):
             batch_first_exceed(bins, np.full(3, 20), small_table, [1, 2, 3])
 
 
+def test_batch_first_exceed_refuses_lengths_that_are_not_one_step_count_per_row(
+        small_table):
+    # rows step on over their padding and are masked by lengths at the end,
+    # so a length must not point past the padded matrix, nor be dropped
+    bins = np.zeros((3, 20), dtype=np.int16)
+    for bad in (np.full(4, 20), np.full(2, 20), np.array([20, 21, 5]),
+                np.array([20, -1, 5]), np.array([20.0, 10.0, 5.0]), np.full((3, 1), 20)):
+        with pytest.raises(InputError, match="lengths"):
+            batch_first_exceed(bins, bad, small_table, [1, 2, 3])
+    assert batch_first_exceed(bins[:0], np.zeros(0, dtype=np.int64), small_table,
+                              []).shape == (0,)
+
+
 def test_ecdd_first_exceed_matches_sequential():
     rng = rng_from(7)
     n_rows, horizon = 40, 600
@@ -130,7 +143,7 @@ def test_batch_first_exceed_statistic_order_of_operations(small_table):
     # the statistic decides)
     seq = rng_from(9).integers(16, size=300).astype(np.int16)
     strict = replace(small_table, gamma=np.zeros(small_table.t_max))
-    thresholds, _ = strict.head(300)
+    thresholds = np.array([strict.at(t)[0] for t in range(1, 301)])
     batch = batch_first_exceed(seq[None, :], np.array([300]), strict, [0])
     w, scale, stat, traj = np.full(16, 1 / 16), 1.0, 0.0, []
     for b in seq:

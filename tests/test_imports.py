@@ -101,3 +101,31 @@ def test_detects_an_unreferenced_private_function():
 
 def test_package_references_every_private_function():
     assert unreferenced_private_functions(package_sources()) == []
+
+
+ONE_LOOP = {"ewma_step", "fires"}  # QT-EWMA kernels that only ``qt_ewma`` may call
+
+
+def one_loop_offenders(sources: dict[str, str]) -> list[str]:
+    """Modules other than ``qt_ewma`` that import, call or read a ``ONE_LOOP`` kernel."""
+    offenders = []
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        if name != "qt_ewma" and ONE_LOOP & (names_read([tree]) | imported):
+            offenders.append(name)
+    return sorted(offenders)
+
+
+def test_detects_a_second_qt_ewma_loop():
+    sources = {"qt_ewma": "def fires():\n    pass\n\nfires()\n",
+               "engine": "from .qt_ewma import ewma_step, fires\n",
+               "calibration": "from . import qt_ewma\nqt_ewma.fires\n",
+               "ecdd": "def ecdd_fires():\n    pass\n\necdd_fires()\n"}
+    assert one_loop_offenders(sources) == ["calibration", "engine"]
+
+
+def test_only_qt_ewma_steps_the_recursion():
+    # calibration, replay and the batch engine step it through qt_ewma.lockstep
+    assert one_loop_offenders(package_sources()) == []

@@ -27,16 +27,6 @@ def test_at_is_one_based_with_constant_tail():
         table.at(0)
 
 
-def test_head_applies_tail_rule():
-    table = make_table()
-    h, gamma = table.head(7)
-    assert np.array_equal(h, [0.1, 0.2, 0.3, 0.4, 0.5, 0.5, 0.5])
-    assert np.array_equal(gamma, [1.0, 0.25, 0.0, 0.5, 0.75, 0.75, 0.75])
-    h, gamma = table.head(3)
-    assert np.array_equal(h, [0.1, 0.2, 0.3])
-    assert np.array_equal(gamma, [1.0, 0.25, 0.0])
-
-
 def test_construction_validation():
     assert make_table().t_max == 5  # the length of the arrays
     with pytest.raises(FormatError):
