@@ -27,13 +27,19 @@ from .quanttree import locate_bins
 from .seeding import derive_seed
 from .thresholds import ThresholdTable, table_to_dict
 
+DEFAULT_TRAIN_PER_CLASS = 256  # training rows drawn per class in each replicate
+DEFAULT_POST_LENGTH = 7000  # stream rows after the change point in a delay run
+DEFAULT_DRIFT_CLASS = 2  # the class whose post-change mean a grid moves
+ERROR_SAMPLES = 200_000  # stream rows behind each error rate of a grid's contours
+ERROR_TRAIN_PER_CLASS = 4096  # training rows per class of the grid's contour LDA
+
 
 @dataclass
 class CdmMethod:
     """Per-class monitoring (or the pooled single-histogram baseline)."""
 
     table: ThresholdTable  # fixes K and lambda
-    train_per_class: int = 256
+    train_per_class: int = DEFAULT_TRAIN_PER_CLASS
     pooled: bool = False  # merge all labels: monitor the overall distribution
     name: str = "cdm"
 
@@ -47,7 +53,7 @@ class EcddMethod:
     knn_k: int = ecdd_mod.DEFAULT_KNN_K
     r: float = ecdd_mod.DEFAULT_R
     prior_weight: float = ecdd_mod.DEFAULT_PRIOR_WEIGHT
-    train_per_class: int = 256
+    train_per_class: int = DEFAULT_TRAIN_PER_CLASS
     name: str = "ecdd"
 
 
@@ -193,6 +199,8 @@ def _report(method, cfg: GaussianMixtureConfig, replicates: int, horizon: int, s
     """
     if not isinstance(method, (CdmMethod, EcddMethod)):
         raise ConfigError(f"unknown method type {type(method).__name__}")
+    if engine not in ("batch", "sequential"):
+        raise ConfigError(f"unknown engine {engine!r}, choose 'batch' or 'sequential'")
     batch = _run_cdm_batch if isinstance(method, CdmMethod) else _run_ecdd_batch
     runner = batch if engine == "batch" else _run_sequential
     t_star, m_star = runner(method, cfg, replicates, horizon, seed)
@@ -233,7 +241,8 @@ def estimate_arl0(method, cfg: GaussianMixtureConfig, replicates: int, horizon: 
 
 
 def estimate_delay(method, cfg: GaussianMixtureConfig, replicates: int, seed: int,
-                   post_length: int = 7000, engine: str = "batch") -> ExperimentReport:
+                   post_length: int = DEFAULT_POST_LENGTH,
+                   engine: str = "batch") -> ExperimentReport:
     """Mean detection delay t* - tau over runs with no false alarm.
 
     Detections at or before tau count as false alarms and are excluded
@@ -266,6 +275,8 @@ def drift_class_mean(cfg: GaussianMixtureConfig, drift_class: int) -> np.ndarray
 def grid_cells(center, x_offsets=(-1.5, 0.5), y_offsets=(-1.0, 1.0),
                nx: int = 9, ny: int = 9) -> list[tuple[float, float]]:
     """Lattice of post-change means around ``center`` (row-major)."""
+    if nx < 1 or ny < 1:
+        raise ConfigError(f"a grid needs nx >= 1 and ny >= 1, got nx={nx}, ny={ny}")
     xs = np.linspace(center[0] + x_offsets[0], center[0] + x_offsets[1], nx)
     ys = np.linspace(center[1] + y_offsets[0], center[1] + y_offsets[1], ny)
     return [(float(x), float(y)) for x in xs for y in ys]
@@ -274,15 +285,15 @@ def grid_cells(center, x_offsets=(-1.5, 0.5), y_offsets=(-1.0, 1.0),
 def run_grid_experiment(cfg_base: GaussianMixtureConfig, methods: dict,
                         replicates: int, seed: int,
                         cells: Optional[list[tuple[float, float]]] = None,
-                        drift_class: int = 2, post_length: int = 7000,
-                        error_samples: int = 200_000,
-                        error_train_per_class: int = 4096) -> list[dict]:
+                        drift_class: int = DEFAULT_DRIFT_CLASS,
+                        post_length: int = DEFAULT_POST_LENGTH) -> list[dict]:
     """Mean detection delay per (cell, method) plus (p1 - p0, sKL) per cell.
 
     Each cell translates the drifted class's post-change mean to the cell
-    coordinates. A single LDA classifier fitted on the stationary mixture
-    supplies the error-rate contours. Failed cells are marked and the run
-    continues.
+    coordinates; its sKL runs from the class's pre-change Gaussian to its
+    post-change one. A single LDA classifier fitted on the stationary
+    mixture supplies the error-rate contours. Failed cells are marked and
+    the run continues.
     """
     center = drift_class_mean(cfg_base, drift_class)
     if cells is None:
@@ -292,18 +303,18 @@ def run_grid_experiment(cfg_base: GaussianMixtureConfig, methods: dict,
     if cfg_base.tau <= 0:
         raise ConfigError("grid experiment needs a change point tau > 0")
     cfg0 = stationary(cfg_base)
-    etx, ety = sample_training(cfg0, error_train_per_class, derive_seed(seed, 900_000))
+    etx, ety = sample_training(cfg0, ERROR_TRAIN_PER_CLASS, derive_seed(seed, 900_000))
     err_clf = ecdd_mod.fit_classifier("lda", etx, ety)
-    p0 = estimate_error_rate(err_clf, cfg0, error_samples, derive_seed(seed, 900_001))
+    p0 = estimate_error_rate(err_clf, cfg0, ERROR_SAMPLES, derive_seed(seed, 900_001))
 
     rows = []
-    cov = cfg_base.covs[drift_class - 1]
+    cov, post_cov = cfg_base.covs[drift_class - 1], cfg_base.post_covs[drift_class - 1]
     for ci, (cx, cy) in enumerate(cells):
         post_means = cfg_base.post_means.copy()
         post_means[drift_class - 1] = (cx, cy)
         cfg_cell = replace(cfg_base, post_means=post_means)
-        skl = skl_gaussian(center, cov, (cx, cy), cov)
-        p1 = estimate_error_rate(err_clf, replace(cfg_cell, tau=0), error_samples,
+        skl = skl_gaussian(center, cov, (cx, cy), post_cov)
+        p1 = estimate_error_rate(err_clf, replace(cfg_cell, tau=0), ERROR_SAMPLES,
                                  derive_seed(seed, 900_002 + ci))
         for mi, (name, method) in enumerate(sorted(methods.items())):
             base = {"mu_x": cx, "mu_y": cy, "method": name, "skl": skl,

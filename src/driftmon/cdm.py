@@ -115,12 +115,18 @@ def class_seed(seed: int, label: int) -> int:
     return int(seed) + int(label)
 
 
+def class_labels(y) -> np.ndarray:
+    """``y`` as int64 labels; InputError if one is not an integer (2.7, NaN)."""
+    y = np.asarray(y)
+    if y.dtype.kind not in "iuf" or not (np.isfinite(y) & (y == np.trunc(y))).all():
+        raise InputError("class labels must be integers")
+    return y.astype(np.int64)
+
+
 def fit_class_histograms(train_x, train_y, n_bins: int, seed: int) -> dict[int, "object"]:
     """Build one K-bin histogram per class label 1..M."""
     x = np.asarray(train_x, dtype=float)
-    y = np.asarray(train_y)
-    if not np.issubdtype(y.dtype, np.integer):
-        y = y.astype(np.int64)
+    y = class_labels(train_y)
     if x.ndim != 2 or len(x) != len(y):
         raise InputError("training data must be an N x d matrix with N labels")
     if y.min(initial=1) < 1:

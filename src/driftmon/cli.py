@@ -15,13 +15,14 @@ import sys
 import numpy as np
 
 from . import bench
-from .calibration import calibrate_ecdd_limit, calibrate_thresholds
+from .calibration import DEFAULT_REPLICATES, calibrate_ecdd_limit, calibrate_thresholds
 from .cdm import fit_cdm, run_labeled_stream
 from .datastreams import GaussianMixtureConfig, iter_csv_stream, read_csv_stream
 from .ecdd import (CLASSIFIERS, DEFAULT_KNN_K, DEFAULT_PRIOR_WEIGHT, DEFAULT_R,
                    EcddMonitor, cross_val_error, ecdd_init, fit_classifier)
-from .errors import CalibrationError, ConfigError, DriftmonError, FormatError, InputError
+from .errors import ConfigError, DriftmonError, FormatError
 from .qt_ewma import DEFAULT_LAMBDA
+from .seeding import check_seed
 from .thresholds import load_table, save_table
 
 EXIT_OK = 0
@@ -46,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--t-max", type=int,
                      help="cap on the table length (default: calibrate every step "
                           "that keeps enough replicates at risk)")
-    cal.add_argument("--replicates", type=int, default=100_000)
+    cal.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES)
     cal.add_argument("--seed", type=_seed, default=0)
     cal.add_argument("--out", required=True)
 
@@ -127,17 +128,10 @@ def cmd_monitor(args) -> int:
 
     run_labeled_stream(monitor, stream)
     report = {**monitor.report(), **extra}
-    json.dump(report, sys.stdout, indent=2, default=_coerce)
+    # numpy scalars are the only values the json module cannot write
+    json.dump(report, sys.stdout, indent=2, default=lambda obj: obj.item())
     print()
     return EXIT_OK
-
-
-def _coerce(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def _load_config(path) -> dict:
@@ -173,6 +167,16 @@ def _field(raw: dict, name: str, convert, default=None):
         raise ConfigError(f"config field {name!r}: {exc}") from exc
 
 
+def _given(raw: dict, **converters) -> dict:
+    """The fields of ``raw`` that are set, each read by ``_field``.
+
+    Pass the result as keyword arguments: an absent field then takes the
+    library's own default.
+    """
+    return {name: _field(raw, name, convert) for name, convert in converters.items()
+            if raw.get(name) is not None}
+
+
 def _integer(value) -> int:
     """``int(value)``, refusing what it would truncate: booleans and fractions."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -183,12 +187,9 @@ def _integer(value) -> int:
 def _seed(value) -> int:
     """A seed, from a flag's string or a config's number: a non-negative integer."""
     try:
-        seed = _integer(value)
-    except (TypeError, ValueError) as exc:
+        return check_seed(_integer(value))
+    except (TypeError, ValueError, ConfigError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value!r}")
-    return seed
 
 
 def _floats(value) -> np.ndarray:
@@ -200,18 +201,19 @@ def _pair(value) -> tuple[float, float]:
     return low, high
 
 
+def _classifier(value) -> str:
+    if value not in CLASSIFIERS:
+        raise ValueError(f"unknown kind {value!r}, choose from {', '.join(CLASSIFIERS)}")
+    return value
+
+
 def _mixture_from_config(raw: dict) -> GaussianMixtureConfig:
     _require_object(raw, "config field 'mixture'")
     if raw.get("means") is None:
         raise ConfigError("mixture config is missing field 'means'")
-    return GaussianMixtureConfig(
-        means=_field(raw, "means", _floats),
-        covs=_field(raw, "covs", _floats),
-        priors=_field(raw, "priors", _floats),
-        post_means=_field(raw, "post_means", _floats),
-        post_covs=_field(raw, "post_covs", _floats),
-        tau=_field(raw, "tau", _integer, 0),
-    )
+    return GaussianMixtureConfig(**_given(raw, means=_floats, covs=_floats, priors=_floats,
+                                          post_means=_floats, post_covs=_floats,
+                                          tau=_integer))
 
 
 def _method_from_config(raw: dict, seed: int):
@@ -222,48 +224,33 @@ def _method_from_config(raw: dict, seed: int):
             raise ConfigError(f"method {kind}: missing 'table' path")
         table = load_table(_field(raw, "table", str))
         table.require(n_bins=raw.get("bins"), lam=raw.get("lambda"))
-        return bench.CdmMethod(
-            table=table,
-            train_per_class=_field(raw, "train_per_class", _integer, 256),
-            pooled=(kind == "qtewma"),
-            name=_field(raw, "name", str, kind),
-        )
+        return bench.CdmMethod(table=table, pooled=(kind == "qtewma"),
+                               name=_field(raw, "name", str, kind),
+                               **_given(raw, train_per_class=_integer))
     if kind == "ecdd":
-        classifier = _field(raw, "classifier", str, "lda")
-        if classifier not in CLASSIFIERS:
-            raise ConfigError(f"config field 'classifier': unknown kind {classifier!r}, "
-                              f"choose from {', '.join(CLASSIFIERS)}")
-        r = _field(raw, "r", float, DEFAULT_R)
-        prior_weight = _field(raw, "prior_weight", float, DEFAULT_PRIOR_WEIGHT)
-        limit = _field(raw, "limit", float)
-        if limit is None:
+        method = bench.EcddMethod(
+            limit=_field(raw, "limit", float),
+            **_given(raw, classifier=_classifier, knn_k=_integer, r=float,
+                     prior_weight=float, train_per_class=_integer, name=str),
+        )
+        if method.limit is None:
             if raw.get("arl0") is None or raw.get("p0") is None:
                 raise ConfigError("method ecdd: provide 'limit' or both 'arl0' and 'p0'")
-            limit = calibrate_ecdd_limit(
-                _field(raw, "p0", float), r, _field(raw, "arl0", float),
-                seed=seed, prior_weight=prior_weight,
+            method.limit = calibrate_ecdd_limit(
+                _field(raw, "p0", float), method.r, _field(raw, "arl0", float),
+                seed=seed, prior_weight=method.prior_weight,
             )
-        return bench.EcddMethod(
-            limit=limit,
-            classifier=classifier,
-            knn_k=_field(raw, "knn_k", _integer, DEFAULT_KNN_K),
-            r=r,
-            prior_weight=prior_weight,
-            train_per_class=_field(raw, "train_per_class", _integer, 256),
-            name=_field(raw, "name", str, "ecdd"),
-        )
+        return method
     raise ConfigError(f"unknown method kind {kind!r}")
 
 
 def _write_rows(rows: list[dict], path) -> None:
     if not rows:
         raise ConfigError("nothing to write: no result rows")
-    fields = list(rows[0].keys())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def cmd_bench(args) -> int:
@@ -271,45 +258,31 @@ def cmd_bench(args) -> int:
     mixture = _mixture_from_config(cfg.get("mixture") or {})
     seed = _field(cfg, "seed", _seed, 0)
     replicates = _field(cfg, "replicates", _integer, 1000)
-    post_length = _field(cfg, "post_length", _integer, 7000)
+    post_length = _given(cfg, post_length=_integer)
     raw_methods = cfg.get("methods")
     if not raw_methods or not isinstance(raw_methods, list):
         raise ConfigError("config: 'methods' must be a non-empty list")
-    methods = {}
-    for raw in raw_methods:
-        method = _method_from_config(raw, seed)
-        methods[method.name] = method
+    methods = {m.name: m for m in [_method_from_config(raw, seed) for raw in raw_methods]}
 
     if args.experiment == "grid":
         grid_raw = _require_object(cfg.get("grid") or {}, "config field 'grid'")
-        drift_class = _field(grid_raw, "drift_class", _integer, 2)
+        drift_class = _field(grid_raw, "drift_class", _integer, bench.DEFAULT_DRIFT_CLASS)
         cells = bench.grid_cells(
             bench.drift_class_mean(mixture, drift_class),
-            x_offsets=_field(grid_raw, "x_offsets", _pair, (-1.5, 0.5)),
-            y_offsets=_field(grid_raw, "y_offsets", _pair, (-1.0, 1.0)),
-            nx=_field(grid_raw, "nx", _integer, 9),
-            ny=_field(grid_raw, "ny", _integer, 9),
+            **_given(grid_raw, x_offsets=_pair, y_offsets=_pair, nx=_integer, ny=_integer),
         )
-        rows = bench.run_grid_experiment(
-            mixture, methods, replicates, seed, cells=cells,
-            drift_class=drift_class, post_length=post_length,
-        )
-        _write_rows(rows, args.out)
-        print(f"wrote {len(rows)} grid rows: {args.out}")
-        return EXIT_OK
-
-    rows = []
-    for name, method in sorted(methods.items()):
-        if args.experiment == "arl0":
-            report = bench.estimate_arl0(
-                method, mixture, replicates, _field(cfg, "horizon", _integer, 8000), seed
-            )
-        else:
-            report = bench.estimate_delay(method, mixture, replicates, seed,
-                                          post_length=post_length)
-        rows.append(report.to_dict())
+        rows = bench.run_grid_experiment(mixture, methods, replicates, seed, cells=cells,
+                                         drift_class=drift_class, **post_length)
+    elif args.experiment == "arl0":
+        horizon = _field(cfg, "horizon", _integer, 8000)
+        rows = [bench.estimate_arl0(methods[name], mixture, replicates, horizon,
+                                    seed).to_dict() for name in sorted(methods)]
+    else:
+        rows = [bench.estimate_delay(methods[name], mixture, replicates, seed,
+                                     **post_length).to_dict() for name in sorted(methods)]
     _write_rows(rows, args.out)
-    print(f"wrote {len(rows)} report rows: {args.out}")
+    kind = "grid" if args.experiment == "grid" else "report"
+    print(f"wrote {len(rows)} {kind} rows: {args.out}")
     return EXIT_OK
 
 
@@ -317,14 +290,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "calibrate":
-            return cmd_calibrate(args)
-        if args.command == "monitor":
-            return cmd_monitor(args)
-        return cmd_bench(args)
-    except (ConfigError, InputError, CalibrationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        commands = {"calibrate": cmd_calibrate, "monitor": cmd_monitor, "bench": cmd_bench}
+        return commands[args.command](args)
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cdm import Detection
+from .cdm import Detection, class_labels
 from .errors import ConfigError, InputError, NumericError
 from .seeding import rng_from
 
@@ -255,9 +255,11 @@ CLASSIFIERS = {"knn": KnnClassifier, "lda": LdaClassifier}
 def fit_classifier(kind: str, x, y, k: int = DEFAULT_KNN_K):
     """Fit a ``CLASSIFIERS`` kind on labeled training data (k: kNN's neighbours)."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
+    y = class_labels(y)
     if x.ndim != 2 or len(x) != len(y):
         raise InputError("training data must be an N x d matrix with N labels")
+    if not np.isfinite(x).all():
+        raise InputError("training features contain non-finite values")
     if len(np.unique(y)) < 2:
         raise ConfigError("classifier training needs at least 2 classes")
     if kind not in CLASSIFIERS:
@@ -268,7 +270,7 @@ def fit_classifier(kind: str, x, y, k: int = DEFAULT_KNN_K):
 def cross_val_error(kind: str, x, y, seed: int = 0, k: int = DEFAULT_KNN_K) -> float:
     """Stratified ``CV_FOLDS``-fold cross-validated error rate of a classifier."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
+    y = class_labels(y)
     rng = rng_from(seed)
     folds = np.empty(len(y), dtype=np.int64)
     for c in np.unique(y):

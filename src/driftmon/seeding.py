@@ -10,18 +10,27 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 RNG_ALGORITHM = "pcg64"
 TIE_STREAM = 0x71E5  # path tag of the tie-breaking draws, distinct from data paths
 
 
+def check_seed(seed) -> int:
+    """``seed`` as an int; ConfigError unless a non-negative Python or numpy integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def derive_seed(master: int, *path: int) -> int:
     """Return a 64-bit seed derived from ``master`` and an index path."""
-    ss = np.random.SeedSequence([int(master), *(int(p) for p in path)])
+    ss = np.random.SeedSequence([check_seed(master), *(int(p) for p in path)])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def rng_from(seed: int) -> np.random.Generator:
-    return np.random.default_rng(int(seed))
+    return np.random.default_rng(check_seed(seed))
 
 
 def tie_uniform(seed: int, t: int) -> float:

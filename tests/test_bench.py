@@ -18,6 +18,7 @@ from driftmon import (
     run_grid_experiment,
     sample_training,
     save_table,
+    skl_gaussian,
 )
 from driftmon.bench import config_hash
 from driftmon.cli import EXIT_OK, main
@@ -161,13 +162,18 @@ def test_grid_cells_lattice():
     assert (2.0, 1.0) in cells
 
 
+@pytest.mark.parametrize("nx, ny", [(-1, 9), (9, 0)])
+def test_grid_cells_refuse_a_size_below_one(nx, ny):
+    with pytest.raises(ConfigError, match="nx >= 1 and ny >= 1"):
+        grid_cells((0.0, 0.0), nx=nx, ny=ny)
+
+
 def test_run_grid_experiment_small(small_table):
     cfg = two_gaussian_config(delta=3.0, tau=30)
     methods = {"cdm": CdmMethod(table=small_table, train_per_class=64)}
     cells = [(3.0, 0.0), (1.0, 0.0)]
     rows = run_grid_experiment(cfg, methods, replicates=40, seed=8, cells=cells,
-                               post_length=300, error_samples=20_000,
-                               error_train_per_class=256)
+                               post_length=300)
     assert len(rows) == 2
     by_cell = {(r["mu_x"], r["mu_y"]): r for r in rows}
     drifted = by_cell[(1.0, 0.0)]
@@ -185,8 +191,7 @@ def test_grid_marks_failed_cells(small_table):
     # train_per_class mismatching the table's train_size breaks per cell
     bad = CdmMethod(table=small_table, train_per_class=100)
     rows = run_grid_experiment(cfg, {"bad": bad}, replicates=5, seed=9,
-                               cells=[(3.0, 0.0)], post_length=100,
-                               error_samples=5000, error_train_per_class=128)
+                               cells=[(3.0, 0.0)], post_length=100)
     assert rows[0]["failed"] != ""
     assert rows[0]["mean_delay"] is None
 
@@ -199,6 +204,28 @@ def test_grid_requires_cells_and_tau(small_table):
         run_grid_experiment(two_gaussian_config(tau=30), {"m": method}, 5, 0, drift_class=0)
     with pytest.raises(ConfigError):
         run_grid_experiment(two_gaussian_config(), {"m": method}, 5, 0)
+
+
+def test_grid_skl_reads_the_post_change_covariance(small_table):
+    eye = np.eye(2)
+    cfg = GaussianMixtureConfig(means=np.array([[0.0, 0.0], [3.0, 0.0]]),
+                                post_covs=np.stack([eye, 4.0 * eye]), tau=30)
+    method = EcddMethod(limit=3.0, train_per_class=64)
+    rows = run_grid_experiment(cfg, {"ecdd": method}, replicates=2, seed=3,
+                               cells=[(3.0, 0.0)], post_length=50)
+    # the mean stays put and the covariance grows: sKL(N(m, I), N(m, 4I))
+    assert rows[0]["skl"] == pytest.approx(1.125)
+    assert rows[0]["skl"] == pytest.approx(skl_gaussian(cfg.means[1], eye, (3.0, 0.0), 4 * eye))
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda method, cfg: estimate_arl0(method, cfg, 5, 500, seed=0, engine="bathc"),
+    lambda method, cfg: estimate_delay(method, replace(cfg, tau=10), 5, seed=0,
+                                       post_length=50, engine="bathc"),
+], ids=["arl0", "delay"])
+def test_an_unknown_engine_is_refused(small_table, cfg0, estimate):
+    with pytest.raises(ConfigError, match="'batch' or 'sequential'"):
+        estimate(CdmMethod(table=small_table, train_per_class=64), cfg0)
 
 
 def test_config_hash_is_stable():

@@ -39,6 +39,16 @@ def test_fit_builds_one_histogram_per_class(small_table):
         assert det.hist.seed == class_seed(10, m)
 
 
+@pytest.mark.parametrize("bad", [2.7, np.nan])
+def test_fit_refuses_a_non_integral_label(small_table, bad):
+    x, y = make_training(per_class=64, n_classes=2)
+    labels = np.where(y == 2, bad, 1.0)
+    for fit in (lambda: fit_class_histograms(x, labels, 16, seed=0),
+                lambda: fit_cdm(x, labels, small_table)):
+        with pytest.raises(InputError, match="labels must be integers"):
+            fit()
+
+
 def test_fit_reads_k_and_lambda_from_the_table():
     # a K = 32 table fixes the bin count: no n_bins needed, a different one refused
     table = ThresholdTable(n_bins=32, lam=0.05, arl0_target=50.0, train_size=64,

@@ -1,11 +1,13 @@
 import csv
+import inspect
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from conftest import write_csv_stream
 
-from driftmon import LabeledStream, load_table, save_table
+from driftmon import GaussianMixtureConfig, LabeledStream, bench, load_table, save_table
 from driftmon.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from driftmon.seeding import rng_from
 
@@ -434,3 +436,50 @@ def test_bench_refuses_a_seed_that_is_not_a_non_negative_integer(workdir, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("error: config field 'seed': ")
     assert not out.exists()
+
+
+def _record(monkeypatch, name, result):
+    """Replace ``bench.<name>`` by a stub that records the arguments passed."""
+    signature, calls = inspect.signature(getattr(bench, name)), []
+
+    def stub(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        return result
+
+    monkeypatch.setattr(bench, name, stub)
+    return calls
+
+
+class _Report:
+    def to_dict(self):
+        return {"method": "stub"}
+
+
+def test_a_config_of_its_required_fields_takes_the_library_defaults(workdir, tmp_path,
+                                                                     monkeypatch):
+    means = [[0.0, 0.0], [4.0, 0.0]]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "format_version": 1, "mixture": {"means": means},
+        "methods": [{"kind": "cdm", "table": str(workdir["table"])},
+                    {"kind": "ecdd", "limit": 2.0}],
+    }))
+    delays = _record(monkeypatch, "estimate_delay", _Report())
+    grids = _record(monkeypatch, "run_grid_experiment", [{"row": 1}])
+    for experiment in ("delay", "grid"):
+        assert main(["bench", experiment, "--config", str(config),
+                     "--out", str(tmp_path / f"{experiment}.csv")]) == EXIT_OK
+
+    cdm, ecdd = (call["method"] for call in delays)
+    assert vars(cdm) == vars(bench.CdmMethod(cdm.table))
+    assert vars(ecdd) == vars(bench.EcddMethod(2.0))
+    expected = GaussianMixtureConfig(means=np.array(means))
+    for call in [*delays, *grids]:
+        mixture = call["cfg"] if "cfg" in call else call["cfg_base"]
+        for f in fields(GaussianMixtureConfig):
+            assert np.array_equal(getattr(mixture, f.name), getattr(expected, f.name))
+        assert "post_length" not in call  # left to the library's default
+    (grid,) = grids
+    assert grid["drift_class"] == bench.DEFAULT_DRIFT_CLASS
+    assert grid["cells"] == bench.grid_cells(means[bench.DEFAULT_DRIFT_CLASS - 1])
+    assert len(grid["cells"]) == 81

@@ -234,6 +234,27 @@ def test_knn_k_too_large():
         fit_classifier("knn", x, y, k=100)
 
 
+@pytest.mark.parametrize("kind", ["knn", "lda"])
+def test_classifier_training_refuses_a_non_finite_feature(kind):
+    x, y = two_class_data(3.0, n=50, seed=4)
+    x[7, 1] = np.nan
+    with pytest.raises(InputError, match="non-finite"):
+        fit_classifier(kind, x, y)
+
+
+@pytest.mark.parametrize("kind", ["knn", "lda"])
+def test_classifier_training_refuses_a_non_integral_label(kind):
+    x, y = two_class_data(3.0, n=50, seed=4)
+    labels = np.where(y == 2, 2.7, 1.0)
+    with pytest.raises(InputError, match="labels must be integers"):
+        fit_classifier(kind, x, labels)
+    with pytest.raises(InputError, match="labels must be integers"):
+        cross_val_error(kind, x, labels)
+    # integral floats are the labels they spell
+    assert np.array_equal(fit_classifier(kind, x, y.astype(float)).predict(x),
+                          fit_classifier(kind, x, y).predict(x))
+
+
 def test_classifier_needs_two_classes():
     x = rng_from(3).standard_normal((20, 2))
     with pytest.raises(ConfigError):
