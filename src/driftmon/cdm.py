@@ -118,7 +118,8 @@ def class_seed(seed: int, label: int) -> int:
 def class_labels(y) -> np.ndarray:
     """``y`` as int64 labels; InputError if one is not an integer (2.7, NaN)."""
     y = np.asarray(y)
-    if y.dtype.kind not in "iuf" or not (np.isfinite(y) & (y == np.trunc(y))).all():
+    if y.dtype.kind not in "iu" and (
+            y.dtype.kind != "f" or not (np.isfinite(y) & (y == np.trunc(y))).all()):
         raise InputError("class labels must be integers")
     return y.astype(np.int64)
 

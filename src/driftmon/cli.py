@@ -262,7 +262,12 @@ def cmd_bench(args) -> int:
     raw_methods = cfg.get("methods")
     if not raw_methods or not isinstance(raw_methods, list):
         raise ConfigError("config: 'methods' must be a non-empty list")
-    methods = {m.name: m for m in [_method_from_config(raw, seed) for raw in raw_methods]}
+    methods = {}
+    for method in [_method_from_config(raw, seed) for raw in raw_methods]:
+        if method.name in methods:
+            raise ConfigError(f"config: method name {method.name!r} is repeated; "
+                              "give each method its own 'name'")
+        methods[method.name] = method
 
     if args.experiment == "grid":
         grid_raw = _require_object(cfg.get("grid") or {}, "config field 'grid'")

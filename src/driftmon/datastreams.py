@@ -2,19 +2,21 @@
 
 Synthetic streams are Gaussian mixtures with one component per class and
 an optional change point tau after which some class-conditionals switch
-to their post-change variants. Real streams are read from CSV with a
-constant-memory row iterator.
+to their post-change variants. Real streams are read from CSV by a row
+iterator that parses a block of lines at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
 
+from .cdm import class_labels
 from .errors import ConfigError, FormatError, InputError
 from .seeding import rng_from
 
@@ -86,12 +88,12 @@ class GaussianMixtureConfig:
 @dataclass
 class LabeledStream:
     x: np.ndarray                 # (T, d)
-    y: np.ndarray                 # (T,) labels in 1..M (value ignored if unlabeled)
+    y: np.ndarray                 # (T,) integer labels in 1..M (ignored where unlabeled)
     labeled: np.ndarray           # (T,) bool
 
     def __post_init__(self):
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        self.y = np.asarray(self.y, dtype=np.int64)
+        self.y = class_labels(self.y)
         self.labeled = np.asarray(self.labeled, dtype=bool)
         if not (len(self.x) == len(self.y) == len(self.labeled)):
             raise InputError("stream arrays must have equal length")
@@ -193,8 +195,80 @@ def _parse_label(token: str, lenient: bool, row_number: int) -> Optional[int]:
         raise FormatError(f"row {row_number}: unknown label token {token!r}") from None
 
 
+BLOCK_BYTES = 2**16  # characters of whole lines read and parsed at a time
+# FS, GS, RS and US: np.loadtxt strips them around a number, float() does not
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_rows(rows, row_number: int, width, lenient: bool):
+    """Yield the data rows of csv ``rows`` by the per-row rules; return the width.
+
+    The rows are numbered from ``row_number + 1``. ``width`` is None
+    before the first row, 0 after a header, and the first data row's
+    column count from then on.
+    """
+    for row_number, row in enumerate(rows, start=row_number + 1):
+        if not row:
+            continue
+        try:
+            values = [float(v) for v in row[:-1]]
+        except ValueError as exc:
+            if width is None:
+                width = 0
+                continue
+            raise FormatError(f"row {row_number}: {exc}") from exc
+        if not width:
+            if len(row) < 2:
+                raise FormatError(f"row {row_number}: need features and a label")
+            width = len(row)
+        elif len(row) != width:
+            raise FormatError(
+                f"row {row_number}: expected {width} columns, got {len(row)}"
+            )
+        if not all(map(math.isfinite, values)):
+            raise FormatError(f"row {row_number}: non-finite feature")
+        yield np.array(values), _parse_label(row[-1], lenient, row_number)
+    return width
+
+
+def _parse_block(lines: list[str], width: int, lenient: bool):
+    """(features, labels) of quote-free data lines, or None to use the per-row rules.
+
+    The file is split at every line ending, so a carriage return ends a
+    line, and a line with a comma and no quote is one csv row split at
+    every comma, as ``rsplit`` and ``np.loadtxt`` split it. The unpacking
+    below fails unless every line has a comma, and ``np.loadtxt`` unless
+    every line has as many. ``np.loadtxt`` reads a number as ``float``
+    does (both round correctly), but it refuses ``1_0`` and non-ASCII
+    digits, skips an empty line, and strips FS, GS, RS and US around a
+    number. So the block is refused on another width, a blank line or
+    empty feature field, a token ``np.loadtxt`` refuses, one of those four
+    characters, a non-finite value, a label the strict rule refuses, or
+    more characters than the csv module's field limit.
+    """
+    text = "".join(lines)
+    if len(text) > csv.field_size_limit() or any(c in text for c in _LOADTXT_ONLY_SPACE):
+        return None
+    try:
+        features, tokens = zip(*(line.rsplit(",", 1) for line in lines))
+        if "" in features:  # np.loadtxt would skip the line
+            return None
+        x = np.loadtxt(features, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if x.shape[1] != width - 1 or not np.isfinite(x).all():
+        return None
+    labels = {}  # a block holds few distinct label tokens: parse each once
+    for token in set(tokens):
+        try:
+            labels[token] = _parse_label(token, lenient, 0)
+        except FormatError:  # raised at its own row by the per-row rules
+            return None
+    return x, [labels[token] for token in tokens]
+
+
 def iter_csv_stream(path, lenient: bool = False):
-    """Yield (features, label-or-None) per CSV row in constant memory.
+    """Yield (features, label-or-None) per CSV row, reading a block of lines at a time.
 
     Every column but the last is a feature and the last is the label; an
     empty label marks an unlabeled sample, and with ``lenient`` so does
@@ -202,30 +276,39 @@ def iter_csv_stream(path, lenient: bool = False):
     and skipped. A row whose width differs from the first data row's, a
     non-numeric or non-finite feature, or an unknown label raises
     FormatError with the 1-based row number.
+
+    The file is read ``BLOCK_BYTES`` characters of whole lines at a time,
+    so the reader runs up to one block ahead of the last row yielded and
+    its memory is bounded by the block. The header and the first data row
+    are read by the per-row rules. After them, each block is parsed at
+    once by ``np.loadtxt``, with each label taken after the line's last
+    comma. A block that this fast path cannot read exactly as the csv
+    module and ``float`` would (see ``_parse_block``) is parsed again row
+    by row, and from the first block with a quote on, the rest of the
+    file goes through ``csv.reader``, as a quoted field may span lines.
+    Either way every value, label, error message and row number is the
+    one the per-row rules give, and an error is raised only when its row
+    is reached: a consumer that stops before a bad row never sees it.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        width = None  # columns of the first data row; 0 after a header
-        for row_number, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            try:
-                values = [float(v) for v in row[:-1]]
-            except ValueError as exc:
-                if width is None:
-                    width = 0
-                    continue
-                raise FormatError(f"row {row_number}: {exc}") from exc
-            if not width:
-                if len(row) < 2:
-                    raise FormatError(f"row {row_number}: need features and a label")
-                width = len(row)
-            elif len(row) != width:
-                raise FormatError(
-                    f"row {row_number}: expected {width} columns, got {len(row)}"
-                )
-            if not all(map(math.isfinite, values)):
-                raise FormatError(f"row {row_number}: non-finite feature")
-            yield np.array(values), _parse_label(row[-1], lenient, row_number)
+        width, row_number = None, 0
+        while lines := fh.readlines(BLOCK_BYTES):
+            if '"' in "".join(lines):
+                yield from _parse_rows(csv.reader(itertools.chain(lines, fh)), row_number,
+                                       width, lenient)
+                return
+            head = 0
+            while not width and head < len(lines):  # a header and the first data row
+                width = yield from _parse_rows(csv.reader(lines[head:head + 1]),
+                                               row_number + head, width, lenient)
+                head += 1
+            lines, row_number = lines[head:], row_number + head
+            block = _parse_block(lines, width, lenient) if lines else None
+            if block is None:
+                width = yield from _parse_rows(csv.reader(lines), row_number, width, lenient)
+            else:
+                yield from zip(*block)
+            row_number += len(lines)
 
 
 def read_csv_stream(path, lenient: bool = False) -> LabeledStream:

@@ -104,7 +104,7 @@ def _check_features(x, dim: int) -> np.ndarray:
 
 
 KNN_BLOCK = 2**18  # elements of the largest temporary in KnnClassifier.predict
-# Screening slack per unit of ||x||^2 + ||t||^2, and per underflow: a
+# Screening slack per unit of ||x||^2 + max ||t||^2, and per underflow: a
 # rounding bound of c (d + 4) u with u = 2^-53 and a safety factor c = 8
 # over the (5d + 9) u that the expansion and the direct sum can differ by
 # (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).
@@ -129,6 +129,7 @@ class KnnClassifier:
         self.train_y: np.ndarray | None = None
         self.classes: np.ndarray | None = None
         self._train_sq: np.ndarray | None = None  # ||t||^2 per training row
+        self._neg2t: np.ndarray | None = None     # -2 t^T, (d, n_train)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "KnnClassifier":
         if self.k > len(x):
@@ -137,19 +138,15 @@ class KnnClassifier:
         self.train_y = np.asarray(y, dtype=np.int64)
         self.classes = np.unique(self.train_y)
         self._train_sq = np.einsum("ij,ij->i", self.train_x, self.train_x)
+        self._neg2t = -2.0 * self.train_x.T
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Class of each row: the vote of its k nearest training rows.
 
         The neighbours are those of a full stable sort of the distances
-        ``((x - t) ** 2).sum()``, found without one. A BLAS product screens
-        every training row t by a = ||x||^2 - 2 x.t + ||t||^2, which is
-        within delta = c (d + 4) u (||x||^2 + ||t||^2) of that distance;
-        with U the k-th smallest a + delta, the candidates are the columns
-        with a - delta <= U, a set that holds the k nearest. Only the
-        candidates' distances are computed, and the k smallest by
-        (distance, training index) vote. Rows whose squared norms come
+        ``((x - t) ** 2).sum()``, found without one; ``_nearest`` gives
+        the screen and its rounding bound. Rows whose squared norms come
         within a factor 4 of overflow are sorted in full instead.
         """
         x = _check_features(x, self.train_x.shape[1])
@@ -163,7 +160,20 @@ class KnnClassifier:
         return out
 
     def _nearest(self, x: np.ndarray) -> np.ndarray:
-        """Training indices of each row's k nearest, by (distance, index)."""
+        """Training indices of each row's k nearest, by (distance, index).
+
+        One BLAS product ranks every training row t by b = ||t||^2 - 2 x.t,
+        the distance D = ||x - t||^2 less ||x||^2, a constant per row.
+        Computed, b - ||x||^2 and the direct sum D' = ((x - t) ** 2).sum()
+        that the sort ranks by differ by at most (5d + 9) u (||x||^2 +
+        ||t||^2) with u = 2^-53, so by less than the row's slack delta =
+        c (d + 4) u (||x||^2 + max ||t||^2) + c (d + 4) tiny, where tiny
+        covers underflow. The k rows with the smallest b have D' - ||x||^2
+        below kth(b) + delta, so the k-th smallest D' does too, and every
+        row among the k nearest by D' has b at most kth(b) + 2 delta.
+        Those columns are the candidates: only their D' are computed, and
+        the k smallest by (D', training index) are the neighbours.
+        """
         t, k = self.train_x, self.k
         x_sq = np.einsum("ij,ij->i", x, x)
         nearest = np.empty((len(x), k), dtype=np.int64)
@@ -174,17 +184,12 @@ class KnnClassifier:
             x, x_sq = x[screened], x_sq[screened]
         if not len(x):
             return nearest
-        scale = x_sq[:, None] + self._train_sq
-        a = x @ t.T
-        a *= -2.0
-        a += scale
-        slack = scale
-        slack *= _SLACK_C * (t.shape[1] + 4) * _UNIT
-        slack += _SLACK_C * (t.shape[1] + 4) * np.finfo(float).tiny
-        upper = a + slack
-        upper.partition(k - 1, axis=1)
-        a -= slack
-        rows, cols = np.nonzero(a <= upper[:, k - 1:k])
+        b = x @ self._neg2t
+        b += self._train_sq
+        delta = _SLACK_C * (t.shape[1] + 4) * (
+            _UNIT * (x_sq + self._train_sq.max()) + np.finfo(float).tiny)
+        bound = np.partition(b, k - 1, axis=1)[:, k - 1] + 2.0 * delta
+        rows, cols = divmod(np.flatnonzero(b <= bound[:, None]), len(t))
         dist = ((x[rows] - t[cols]) ** 2).sum(axis=1)
         order = np.lexsort((dist, rows))  # stable: equal distances keep index order
         first = np.concatenate(([0], np.bincount(rows, minlength=len(x)).cumsum()[:-1]))

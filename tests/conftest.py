@@ -7,13 +7,15 @@ pytest's output capturing.
 """
 
 import csv
+import math
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from driftmon import (CdmMonitor, Detection, EcddMonitor, GaussianMixtureConfig, InputError,
-                      build_quanttree, calibrate_thresholds, ecdd_update, locate_bins)
+from driftmon import (CdmMonitor, Detection, EcddMonitor, FormatError, GaussianMixtureConfig,
+                      InputError, LabeledStream, build_quanttree, calibrate_thresholds,
+                      ecdd_update, locate_bins)
 from driftmon.calibration import _uniform_tree_batch
 from driftmon.quanttree import LOWER, UPPER, Split
 from driftmon.qt_ewma import ewma_step
@@ -56,6 +58,80 @@ def write_csv_stream(stream, path) -> None:
             row = [repr(float(v)) for v in stream.x[i]]
             row.append(str(int(stream.y[i])) if stream.labeled[i] else "")
             writer.writerow(row)
+
+
+def cli_streams() -> dict:
+    """The labeled streams the CLI tests write as CSV.
+
+    ``train`` and ``stream`` are two classes in 2-D with a blatant class-2
+    drift after row 20 and one unlabeled row; ``separable`` is a training
+    set that kNN classifies without error.
+    """
+    rng = rng_from(90)
+    train_x = np.vstack([rng.standard_normal((40, 2)),
+                         rng.standard_normal((40, 2)) + [4.0, 0.0]])
+    train = LabeledStream(x=train_x, y=np.repeat([1, 2], 40), labeled=np.ones(80, bool))
+
+    rng = rng_from(1002)
+    n_pre, n_post = 20, 240
+    labels = rng.integers(1, 3, size=n_pre + n_post)
+    x = rng.standard_normal((n_pre + n_post, 2))
+    x[labels == 2] += [4.0, 0.0]
+    drifted = (np.arange(n_pre + n_post) >= n_pre) & (labels == 2)
+    x[drifted] += [0.0, 30.0]  # blatant class-2 drift after the change point
+    labeled = np.ones(n_pre + n_post, bool)
+    labeled[5] = False
+    stream = LabeledStream(x=x, y=labels, labeled=labeled)
+
+    rng = rng_from(91)
+    separable_x = np.vstack([rng.standard_normal((40, 2)),
+                             rng.standard_normal((40, 2)) + [20.0, 0.0]])
+    separable = LabeledStream(x=separable_x, y=np.repeat([1, 2], 40),
+                              labeled=np.ones(80, bool))
+    return {"train": train, "stream": stream, "separable": separable}
+
+
+def _reference_label(token: str, lenient: bool, row_number: int):
+    token = token.strip()
+    if token == "":
+        return None
+    try:
+        return int(token)
+    except ValueError:
+        if lenient:
+            return None
+        raise FormatError(f"row {row_number}: unknown label token {token!r}") from None
+
+
+def reference_iter_csv_stream(path, lenient: bool = False):
+    """The rows (or error) ``iter_csv_stream`` must give: the per-row reader.
+
+    One ``csv.reader`` row at a time, one ``float`` per feature token and
+    one ``np.array`` per row, as the reader was before it parsed blocks.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        width = None  # columns of the first data row; 0 after a header
+        for row_number, row in enumerate(csv.reader(fh), start=1):
+            if not row:
+                continue
+            try:
+                values = [float(v) for v in row[:-1]]
+            except ValueError as exc:
+                if width is None:
+                    width = 0
+                    continue
+                raise FormatError(f"row {row_number}: {exc}") from exc
+            if not width:
+                if len(row) < 2:
+                    raise FormatError(f"row {row_number}: need features and a label")
+                width = len(row)
+            elif len(row) != width:
+                raise FormatError(
+                    f"row {row_number}: expected {width} columns, got {len(row)}"
+                )
+            if not all(map(math.isfinite, values)):
+                raise FormatError(f"row {row_number}: non-finite feature")
+            yield np.array(values), _reference_label(row[-1], lenient, row_number)
 
 
 def bin_counts(hist, data) -> np.ndarray:

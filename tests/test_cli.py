@@ -5,11 +5,10 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from conftest import write_csv_stream
+from conftest import cli_streams, write_csv_stream
 
-from driftmon import GaussianMixtureConfig, LabeledStream, bench, load_table, save_table
+from driftmon import GaussianMixtureConfig, bench, load_table, save_table
 from driftmon.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from driftmon.seeding import rng_from
 
 
 @pytest.fixture(scope="module")
@@ -19,26 +18,11 @@ def workdir(tmp_path_factory, small_table_k8):
     table_path = root / "table.json"
     save_table(small_table_k8, table_path)
 
-    rng = rng_from(90)
-    train_x = np.vstack([rng.standard_normal((40, 2)),
-                         rng.standard_normal((40, 2)) + [4.0, 0.0]])
-    train_y = np.repeat([1, 2], 40)
-    train = LabeledStream(x=train_x, y=train_y, labeled=np.ones(80, bool))
+    streams = cli_streams()
     train_path = root / "train.csv"
-    write_csv_stream(train, train_path)
-
-    rng = rng_from(1002)
-    n_pre, n_post = 20, 240
-    labels = rng.integers(1, 3, size=n_pre + n_post)
-    x = rng.standard_normal((n_pre + n_post, 2))
-    x[labels == 2] += [4.0, 0.0]
-    drifted = (np.arange(n_pre + n_post) >= n_pre) & (labels == 2)
-    x[drifted] += [0.0, 30.0]  # blatant class-2 drift after the change point
-    labeled = np.ones(n_pre + n_post, bool)
-    labeled[5] = False
-    stream = LabeledStream(x=x, y=labels, labeled=labeled)
+    write_csv_stream(streams["train"], train_path)
     stream_path = root / "stream.csv"
-    write_csv_stream(stream, stream_path)
+    write_csv_stream(streams["stream"], stream_path)
 
     return {"root": root, "table": table_path, "train": train_path,
             "stream": stream_path}
@@ -134,12 +118,8 @@ def test_monitor_ecdd_with_fixed_limit(workdir, capsys):
 def test_monitor_ecdd_calibrates_at_zero_training_error(workdir, tmp_path, capsys):
     # kNN classifies a well-separated training set without error, so the
     # limit is calibrated at the clipped p0 = 1e-3 and must still resolve
-    rng = rng_from(91)
-    train_x = np.vstack([rng.standard_normal((40, 2)),
-                         rng.standard_normal((40, 2)) + [20.0, 0.0]])
-    train = LabeledStream(x=train_x, y=np.repeat([1, 2], 40), labeled=np.ones(80, bool))
     train_path = tmp_path / "separable.csv"
-    write_csv_stream(train, train_path)
+    write_csv_stream(cli_streams()["separable"], train_path)
     code = main(["monitor", "--method", "ecdd", "--train", str(train_path),
                  "--stream", str(workdir["stream"]), "--classifier", "knn",
                  "--arl0", "375"])
@@ -273,6 +253,25 @@ def test_bench_grid(workdir, tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert {"mu_x", "mu_y", "method", "skl", "p1_minus_p0", "mean_delay"} <= set(rows[0])
+
+
+def test_bench_refuses_a_repeated_method_name(workdir, tmp_path, capsys):
+    # two ecdd entries without a name would both be "ecdd", and only the
+    # last would run
+    cfg = bench_config(workdir)
+    cfg["methods"] = [{"kind": "ecdd", "limit": 3.0, "classifier": "lda"},
+                      {"kind": "ecdd", "limit": 1.0, "classifier": "lda"}]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "delay.csv"
+    assert main(["bench", "delay", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    assert "'ecdd' is repeated" in capsys.readouterr().err
+    assert not out.exists()
+    cfg["methods"][1]["name"] = "ecdd-low"
+    config.write_text(json.dumps(cfg | {"replicates": 5}))
+    assert main(["bench", "delay", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    with open(out, newline="") as fh:
+        assert [r["method"] for r in csv.DictReader(fh)] == ["ecdd", "ecdd-low"]
 
 
 def test_bench_rejects_bad_format_version(workdir, tmp_path, capsys):

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
-from conftest import two_gaussian_config, write_csv_stream
+from conftest import (cli_streams, reference_iter_csv_stream, two_gaussian_config,
+                      write_csv_stream)
 
 from driftmon import (
     ConfigError,
@@ -14,6 +17,8 @@ from driftmon import (
     sample_training,
     skl_gaussian,
 )
+from driftmon import datastreams
+from driftmon.datastreams import BLOCK_BYTES
 from driftmon.seeding import rng_from
 
 
@@ -148,6 +153,19 @@ def test_labeled_stream_iteration():
         LabeledStream(x=np.zeros((3, 2)), y=np.zeros(2), labeled=np.ones(3, bool))
 
 
+def test_labeled_stream_refuses_labels_that_are_not_integers():
+    # labels are read as training labels are: 2.7 is refused, not truncated
+    with pytest.raises(InputError, match="integers"):
+        LabeledStream(x=np.zeros((2, 1)), y=[1.0, 2.7], labeled=[True, True])
+    with pytest.raises(InputError, match="integers"):
+        LabeledStream(x=np.zeros((2, 1)), y=[1.0, np.nan], labeled=[True, False])
+    stream = LabeledStream(x=np.zeros((2, 1)), y=[1.0, 2.0], labeled=[True, True])
+    assert stream.y.dtype == np.int64 and stream.y.tolist() == [1, 2]
+    stream = LabeledStream(x=np.zeros((2, 1)), y=np.array([3, 1], dtype=np.int32),
+                           labeled=[True, False])
+    assert stream.y.dtype == np.int64 and stream.y.tolist() == [3, 1]
+
+
 # ---------------------------------------------------------------------------
 # CSV round trips
 
@@ -215,3 +233,221 @@ def test_csv_missing_and_empty_files(tmp_path):
     empty.write_text("")
     with pytest.raises(FormatError):
         read_csv_stream(empty)
+
+
+# ---------------------------------------------------------------------------
+# The block reader against the per-row reader
+
+
+def outcome(reader, path, lenient=False):
+    """Every row bit for bit, then the error's type and message, if any."""
+    rows = []
+    try:
+        for x, label in reader(path, lenient):
+            rows.append((x.dtype.str, x.shape, x.tobytes(), type(label), label))
+    except Exception as exc:  # the type and message are compared
+        return rows, (type(exc), str(exc))
+    return rows, None
+
+
+def assert_reads_as_per_row(path, lenient=False):
+    got = outcome(iter_csv_stream, path, lenient)
+    assert got == outcome(reference_iter_csv_stream, path, lenient)
+    return got
+
+
+def write_lines(path, lines, end="\n"):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("".join(line + end for line in lines))
+
+
+def block_ends(path) -> list[int]:
+    """The number of the last line of each block the reader reads."""
+    ends = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        while lines := fh.readlines(BLOCK_BYTES):
+            ends.append((ends[-1] if ends else 0) + len(lines))
+    return ends
+
+
+def data_lines(n_rows, seed, d=8):
+    """``n_rows`` lines of ``d`` repr features and a label, one in ten unlabeled."""
+    rng = rng_from(seed)
+    x = rng.standard_normal((n_rows, d)) * 10.0 ** rng.uniform(-3, 3, (n_rows, 1))
+    labels = rng.integers(1, 5, n_rows)
+    return [",".join([*map(repr, row.tolist()), "" if rng.random() < 0.1 else str(label)])
+            for row, label in zip(x, labels)]
+
+
+@pytest.fixture
+def per_row(monkeypatch):
+    """The csv rows the reader parses by the per-row rules, in order."""
+    seen = []
+    parse_rows = datastreams._parse_rows
+
+    def counted(rows):
+        for row in rows:
+            seen.append(row)
+            yield row
+
+    def counting(rows, row_number, width, lenient):
+        return (yield from parse_rows(counted(rows), row_number, width, lenient))
+
+    monkeypatch.setattr(datastreams, "_parse_rows", counting)
+    return seen
+
+
+def test_block_reader_matches_on_the_cli_test_csvs(tmp_path):
+    # the CSVs the CLI tests monitor (CRLF, by csv.writer), their malformed
+    # second rows, and a non-numeric row inserted before every stream row
+    path = tmp_path / "cli.csv"
+    for stream in cli_streams().values():
+        write_csv_stream(stream, path)
+        for lenient in (False, True):
+            rows, error = assert_reads_as_per_row(path, lenient)
+            assert len(rows) == len(stream) and error is None
+    for row in ["x,y,1", "1.0,1", "1.0,2.0,3.0,1", "nan,2.0,1"]:
+        path.write_text(f"0.5,1.5,1\n{row}\n")
+        assert "row 2" in assert_reads_as_per_row(path)[1][1]
+    write_csv_stream(cli_streams()["stream"], path)
+    lines = path.read_text().splitlines()
+    for t in range(len(lines) + 1):
+        path.write_text("\n".join(lines[:t] + ["x,1.0,1"] + lines[t:]) + "\n")
+        rows, error = assert_reads_as_per_row(path)
+        if t == 0:  # a non-numeric first row is a header
+            assert len(rows) == len(lines) and error is None
+        else:
+            assert len(rows) == t and error[1].startswith(f"row {t + 1}:")
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("header", [[], ["f1,f2,f3,f4,f5,f6,f7,f8,label"]],
+                         ids=["data", "header"])
+def test_clean_blocks_skip_the_per_row_rules(tmp_path, per_row, end, header):
+    # only a header and the first data row are parsed row by row, in a
+    # file of five blocks
+    path = tmp_path / "clean.csv"
+    write_lines(path, header + data_lines(3000, seed=1), end)
+    assert len(block_ends(path)) >= 5
+    rows, error = assert_reads_as_per_row(path)
+    assert len(rows) == 3000 and error is None
+    assert len(per_row) == 1 + len(header)
+
+
+@pytest.mark.parametrize("bad", ["", ",", ",1", "5", " ", "1,", "1,2,3"])
+def test_block_reader_matches_with_one_feature(tmp_path, bad):
+    # a width of 2 leaves np.loadtxt one column to read: an empty feature
+    # field or a line without a comma must still fail as the csv module does
+    path = tmp_path / "narrow.csv"
+    values = rng_from(7).standard_normal(9000).tolist()
+    lines = [f"{v!r},{i % 3 + 1}" for i, v in enumerate(values)]
+    write_lines(path, lines)
+    assert [x[0] for x, _ in iter_csv_stream(path)] == values
+    row = block_ends(path)[0] + 2
+    for edited in (lines[:row] + [bad] + lines[row:], lines[:row] + [bad] * 3 + lines[row:],
+                   lines[:row] + [bad]):
+        write_lines(path, edited)
+        for lenient in (False, True):
+            assert_reads_as_per_row(path, lenient)
+
+
+def test_only_a_block_with_a_blank_line_is_parsed_row_by_row(tmp_path, per_row):
+    path = tmp_path / "blank.csv"
+    lines = data_lines(1500, seed=2)
+    write_lines(path, lines)
+    first, second = block_ends(path)[:2]
+    write_lines(path, lines[:first + 5] + [""] + lines[first + 5:])
+    assert len(list(iter_csv_stream(path))) == 1500
+    assert len(per_row) == 1 + (second + 1 - first)
+
+
+def test_a_quote_sends_the_rest_of_the_file_to_the_csv_module(tmp_path, per_row):
+    # a quoted field may span lines, so every row from that block on is
+    # parsed by the per-row rules, and the rows come out the same
+    path = tmp_path / "quoted.csv"
+    lines = data_lines(1500, seed=3)
+    write_lines(path, lines)
+    first = block_ends(path)[0]
+    head, tail = lines[first + 3].split(",", 1)
+    quoted = lines[:first + 3] + [f'"{head}",{tail}'] + lines[first + 4:]
+    write_lines(path, quoted)
+    rows, error = assert_reads_as_per_row(path)
+    assert len(rows) == 1500 and error is None
+    per_row.clear()
+    list(iter_csv_stream(path))
+    assert len(per_row) == 1 + 1500 - first
+    # a quoted field that holds a line break reads as one field
+    write_lines(path, lines[:first + 3] + [f'"{head}\n{head}",{tail}'] + lines[first + 4:])
+    rows, error = assert_reads_as_per_row(path)
+    assert len(rows) == first + 3 and error[1].startswith(f"row {first + 4}:")
+
+
+# (name, edit of one data line) at a row on either side of a block boundary
+LINE_EDITS = {
+    "blank": lambda line: "",
+    "quoted-label": lambda line: line.rsplit(",", 1)[0] + ',"2"',
+    "wide": lambda line: "0.5," + line,
+    "narrow": lambda line: line.split(",", 1)[1],
+    "no-comma": lambda line: "5",
+    "word": lambda line: "x," + line.split(",", 1)[1],
+    "empty-feature": lambda line: "," + line.split(",", 1)[1],
+    "nan": lambda line: "nan," + line.split(",", 1)[1],
+    "inf": lambda line: "-inf," + line.split(",", 1)[1],
+    "overflow": lambda line: "1e400," + line.split(",", 1)[1],
+    "underscore": lambda line: "1_0," + line.split(",", 1)[1],
+    "arabic-digit": lambda line: "\u0661," + line.split(",", 1)[1],
+    "spaces": lambda line: " 1.5 ,\t-2e-3\t," + line.split(",", 2)[2],
+    "unicode-space": lambda line: "\u20031.5\u00a0," + line.split(",", 1)[1],
+    "separator-space": lambda line: "\x1c1.5\x1f," + line.split(",", 1)[1],
+    "lone-cr": lambda line: line + "\r" + line,
+    "cr-blank": lambda line: line + "\r\r",
+    "label-word": lambda line: line.rsplit(",", 1)[0] + ",bee",
+    "label-float": lambda line: line.rsplit(",", 1)[0] + ",2.0",
+    "label-spaces": lambda line: line.rsplit(",", 1)[0] + ", 3 ",
+    "label-underscore": lambda line: line.rsplit(",", 1)[0] + ",1_0",
+    "label-arabic-digit": lambda line: line.rsplit(",", 1)[0] + ",\u0662",
+    "label-separator-space": lambda line: line.rsplit(",", 1)[0] + ",3\x1c",
+}
+
+
+@pytest.mark.parametrize("edit", list(LINE_EDITS))
+def test_block_reader_matches_around_block_boundaries(tmp_path, edit):
+    path = tmp_path / "edited.csv"
+    lines = data_lines(1000, seed=4)
+    write_lines(path, lines)
+    ends = block_ends(path)
+    assert len(ends) >= 3
+    for row in sorted({1, 2, ends[0] - 1, ends[0], ends[0] + 1, ends[1] + 1, len(lines)}):
+        edited = lines[:row - 1] + [LINE_EDITS[edit](lines[row - 1])] + lines[row:]
+        for header in ([], ["f1,f2,f3,f4,f5,f6,f7,f8,label"]):
+            write_lines(path, header + edited)
+            for lenient in (False, True):
+                assert_reads_as_per_row(path, lenient)
+
+
+def test_an_error_is_raised_only_when_its_row_is_reached(tmp_path):
+    # the reader runs a block ahead, but a bad row is reported only when
+    # the rows before it have been yielded
+    path = tmp_path / "late.csv"
+    lines = data_lines(1000, seed=5)
+    write_lines(path, lines)
+    row = block_ends(path)[0] + 7
+    write_lines(path, lines[:row - 1] + ["1.0,2.0"] + lines[row:])
+    rows = iter_csv_stream(path)
+    assert len(list(itertools.islice(rows, row - 1))) == row - 1
+    with pytest.raises(FormatError, match=f"row {row}: expected 9 columns, got 2"):
+        next(rows)
+
+
+def test_numbers_read_as_float_reads_them(tmp_path, per_row):
+    # 600k tokens (repr, %.17g and %.5e, magnitudes 1e-300 to 1e300) all
+    # on the block path give the doubles float() gives
+    rng = rng_from(6)
+    values = rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(-300, 300, 200_000)
+    tokens = [f(v) for v in values.tolist() for f in (repr, "%.17g".__mod__, "%.5e".__mod__)]
+    path = tmp_path / "tokens.csv"
+    write_lines(path, [",".join(tokens[i:i + 10]) + ",1" for i in range(0, len(tokens), 10)])
+    got = np.array([x for x, _ in iter_csv_stream(path)])
+    assert len(per_row) == 1
+    expected = np.array([float(t) for t in tokens]).reshape(-1, 10)
+    assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()

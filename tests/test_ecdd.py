@@ -182,6 +182,19 @@ def knn_dataset(case, rng):
         train = rng.standard_normal((n, d))
         train[rng.random(n) < 0.3] = 0.0
         queries = rng.standard_normal((150, d))
+    elif case == "near-ties":
+        # every row is the centre plus a signed permutation of one offset,
+        # all stored exactly: one distance from the centre in exact
+        # arithmetic, a few ulps apart as summed, so the k-th place falls
+        # in a near-tie, and the screen's rounding error (||x||^2 up to
+        # ~1e9) is far larger than the gaps
+        centre = rng.integers(-10**4, 10**4, d).astype(float)
+        offset = np.round(rng.standard_normal(d) * 2.0**30) / 2.0**30
+        signs = rng.choice([-1.0, 1.0], (n, d))
+        train = centre + signs * rng.permuted(np.tile(offset, (n, 1)), axis=1)
+        queries = np.vstack([np.tile(centre, (50, 1)),
+                             centre + rng.standard_normal((50, d)) * 2.0**-20,
+                             train[rng.integers(0, n, 50)]])
     else:  # "huge": squared norms near overflow fall back to the full sort
         high = 10.0 ** rng.choice([140.0, 200.0])
         train = rng.standard_normal((n, d)) * high
@@ -193,9 +206,10 @@ def knn_dataset(case, rng):
     return train, labels, min(k, n), queries
 
 
-@pytest.mark.parametrize("case", ["continuous", "grid", "duplicates", "k-extremes", "huge"])
+@pytest.mark.parametrize("case", ["continuous", "grid", "duplicates", "k-extremes", "huge",
+                                  "near-ties"])
 def test_knn_predict_matches_the_full_sort(case):
-    # 5 x 48 = 240 datasets, each predicted in one call and by a full sort
+    # 6 x 48 = 288 datasets, each predicted in one call and by a full sort
     rng = rng_from(40)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(48):
