@@ -17,7 +17,8 @@ probability of firing under the randomized rule (S_t > h_t, or S_t ==
 h_t with probability gamma_t) is a constant alpha at every step,
 including the first steps where the statistic takes only a handful of
 values. The ECDD limit is solved exactly, with no search, from the
-running-maximum records of charts stepped by ``ecdd.ecdd_step``.
+running-maximum records of charts stepped a block of ``ecdd.ECDD_BLOCK``
+chart-steps at a time by ``ecdd.ecdd_steps``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 
 import numpy as np
 
-from .ecdd import DEFAULT_PRIOR_WEIGHT, ecdd_step
+from .ecdd import DEFAULT_PRIOR_WEIGHT, ECDD_BLOCK, ecdd_steps
 from .errors import CalibrationError, ConfigError
 from .qt_ewma import lockstep
 from .quanttree import _bin_allocation
@@ -39,7 +40,6 @@ DEFAULT_REPLICATES = 100_000
 SURVIVOR_FLOOR = 1000  # fewest replicates a quantile step may rest on
 TREE_CHUNK = 20_000  # histograms built per vectorized batch
 TREE_BLOCK = 1 << 20  # training uniforms sorted at a time when building them
-ECDD_DRAW_BLOCK = 1 << 18  # uniforms per draw of the ECDD limit calibration
 
 
 def _uniform_tree_batch(n_train: int, n_bins: int, n_rep: int,
@@ -236,21 +236,22 @@ def _ecdd_records(error_chunks, p0: float, prior_weight: float, r: float):
 
     A record is a (value, step) at which the ratio beats the chart's running
     maximum and 0. ``error_chunks`` yields time-major (steps, charts) blocks
-    of 0/1 errors. Returns (values, steps, charts) in step order.
+    of 0/1 errors, each stepped whole by ``ecdd.ecdd_steps``. Returns
+    (values, steps, charts) in step order.
     """
     t, u, err_sum, run_max = 0, p0, 0.0, 0.0
     found = []
     for errors in error_chunks:
-        ratio = np.empty((len(errors) + 1, errors.shape[1]))
-        ratio[0] = run_max
-        for j, error in enumerate(errors, start=1):
-            u, err_sum, p, sigma = ecdd_step(u, err_sum, error, t + j, p0, prior_weight, r)
-            ratio[j] = -np.inf  # sigma = 0: the chart cannot fire
-            np.divide(u - p, sigma, out=ratio[j], where=sigma > 0.0)
-        best = np.maximum.accumulate(ratio, axis=0)
-        step, chart = np.nonzero(ratio[1:] > best[:-1])
-        found.append((ratio[step + 1, chart], t + 1 + step, chart))
-        t, run_max = t + len(errors), best[-1]
+        us, err_sums, p, sigma = ecdd_steps(u, err_sum, errors, t, p0, prior_weight, r)
+        ratio = np.full(us.shape, -np.inf)  # sigma = 0: the chart cannot fire
+        np.divide(us - p, sigma, out=ratio, where=sigma > 0.0)
+        best = np.empty((len(ratio) + 1, ratio.shape[1]))  # running maxima
+        best[0] = run_max
+        for j, row in enumerate(ratio):  # faster than maximum.accumulate on axis 0
+            np.maximum(best[j], row, out=best[j + 1])
+        step, chart = divmod(np.flatnonzero(ratio > best[:-1]), ratio.shape[1])
+        found.append((ratio[step, chart], t + 1 + step, chart))
+        t, u, err_sum, run_max = t + len(errors), us[-1], err_sums[-1], best[-1]
     return tuple(np.concatenate(column) for column in zip(*found))
 
 
@@ -273,6 +274,15 @@ def _mean_detection_curve(values, steps, charts, n_charts: int, horizon: int):
     return np.concatenate(([0.0], v[last_of_value])), (n_charts * horizon - above) / n_charts
 
 
+def _positive_integer(value, name: str) -> int:
+    """``value`` as an int; ConfigError unless a Python or numpy integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
 def calibrate_ecdd_limit(p0: float, r: float, arl0_target: float,
                          replicates: int = 5000, seed: int = 0,
                          prior_weight: float = DEFAULT_PRIOR_WEIGHT,
@@ -291,16 +301,13 @@ def calibrate_ecdd_limit(p0: float, r: float, arl0_target: float,
         raise ConfigError(f"r must be in (0, 1), got {r}")
     if arl0_target < 2.0:
         raise ConfigError(f"arl0_target must be >= 2, got {arl0_target}")
-    if replicates < 1:
-        raise ConfigError(f"replicates must be >= 1, got {replicates}")
+    replicates = _positive_integer(replicates, "replicates")
     if prior_weight < 0.0:
         raise ConfigError(f"prior_weight must be >= 0, got {prior_weight}")
-    horizon = int(20 * arl0_target) if horizon is None else int(horizon)
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    horizon = _positive_integer(int(20 * arl0_target) if horizon is None else horizon, "horizon")
 
     rng = rng_from(seed)
-    block = max(1, ECDD_DRAW_BLOCK // replicates)
+    block = max(1, ECDD_BLOCK // replicates)
     chunks = (rng.random((min(block, horizon - start), replicates)) < p0
               for start in range(0, horizon, block))
     levels, means = _mean_detection_curve(*_ecdd_records(chunks, p0, prior_weight, r),

@@ -196,8 +196,25 @@ def _parse_label(token: str, lenient: bool, row_number: int) -> Optional[int]:
 
 
 BLOCK_BYTES = 2**16  # characters of whole lines read and parsed at a time
+_BLANK_LINES = ("\n", "\r\n", "\r")  # csv.reader reads each as an empty row
 # FS, GS, RS and US: np.loadtxt strips them around a number, float() does not
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _decoded(text: str) -> bool:
+    """Whether ``text`` decoded from UTF-8 bytes alone.
+
+    The reader decodes with ``surrogateescape``, which turns each byte
+    that is not UTF-8 into a lone surrogate, and only those can fail to
+    encode again.
+    """
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _parse_rows(rows, row_number: int, width, lenient: bool):
@@ -210,6 +227,8 @@ def _parse_rows(rows, row_number: int, width, lenient: bool):
     for row_number, row in enumerate(rows, start=row_number + 1):
         if not row:
             continue
+        if not _decoded("".join(row)):
+            raise FormatError(f"row {row_number}: bytes that are not valid UTF-8")
         try:
             values = [float(v) for v in row[:-1]]
         except ValueError as exc:
@@ -241,14 +260,19 @@ def _parse_block(lines: list[str], width: int, lenient: bool):
     every line has as many. ``np.loadtxt`` reads a number as ``float``
     does (both round correctly), but it refuses ``1_0`` and non-ASCII
     digits, skips an empty line, and strips FS, GS, RS and US around a
-    number. So the block is refused on another width, a blank line or
-    empty feature field, a token ``np.loadtxt`` refuses, one of those four
-    characters, a non-finite value, a label the strict rule refuses, or
-    more characters than the csv module's field limit.
+    number. A line that is only a line ending is an empty csv row, which
+    the per-row rules skip, so it is dropped. The block is refused on
+    another width, a line without a comma (one of spaces, say) or an empty
+    feature field, a token ``np.loadtxt`` refuses, one of those four
+    characters, a non-finite value, a label the strict rule refuses, bytes
+    that are not UTF-8, or more characters than the csv module's field
+    limit.
     """
     text = "".join(lines)
-    if len(text) > csv.field_size_limit() or any(c in text for c in _LOADTXT_ONLY_SPACE):
+    if (len(text) > csv.field_size_limit() or any(c in text for c in _LOADTXT_ONLY_SPACE)
+            or not _decoded(text)):
         return None
+    lines = [line for line in lines if line not in _BLANK_LINES]
     try:
         features, tokens = zip(*(line.rsplit(",", 1) for line in lines))
         if "" in features:  # np.loadtxt would skip the line
@@ -274,8 +298,8 @@ def iter_csv_stream(path, lenient: bool = False):
     empty label marks an unlabeled sample, and with ``lenient`` so does
     any non-integer label. A non-numeric first row is treated as a header
     and skipped. A row whose width differs from the first data row's, a
-    non-numeric or non-finite feature, or an unknown label raises
-    FormatError with the 1-based row number.
+    non-numeric or non-finite feature, an unknown label, or bytes that are
+    not UTF-8 raise FormatError with the 1-based row number.
 
     The file is read ``BLOCK_BYTES`` characters of whole lines at a time,
     so the reader runs up to one block ahead of the last row yielded and
@@ -290,7 +314,7 @@ def iter_csv_stream(path, lenient: bool = False):
     one the per-row rules give, and an error is raised only when its row
     is reached: a consumer that stops before a bad row never sees it.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         width, row_number = None, 0
         while lines := fh.readlines(BLOCK_BYTES):
             if '"' in "".join(lines):

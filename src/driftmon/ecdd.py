@@ -4,8 +4,11 @@ The chart tracks the exponentially weighted error rate of a classifier
 that is never updated during monitoring, and fires when it exceeds the
 running error-rate estimate by L estimated standard deviations. The
 rule is one-sided: only error-increasing drifts can be detected.
-``ecdd_step`` is the one chart recursion, which ``engine`` and
-``calibration`` share, and ``ecdd_fires`` the one firing rule.
+The chart recursion is written once: ``_fold`` steps u and the error
+count, ``_rate`` gives p and sigma, and ``ecdd_fires`` is the firing
+rule. ``ecdd_update`` folds one error of one chart with them, and
+``ecdd_steps`` a (steps, charts) block, which ``engine`` and
+``calibration`` step through.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ CV_FOLDS = 5  # folds of the cross-validated training error rate p0
 # running mean. Without it the estimate collapses onto the first few stream
 # errors and the chart fires spuriously at t = 1.
 DEFAULT_PRIOR_WEIGHT = 100.0
+# chart-steps per ecdd_steps block in the limit calibration and the batch
+# engine: it bounds the block's temporaries, a few float arrays of this size
+ECDD_BLOCK = 1 << 15
 
 
 @dataclass
@@ -42,31 +48,80 @@ class EcddState:
     detection_time: Optional[int] = field(default=None)
 
 
-def ecdd_init(p0_estimate: float, r: float, limit: float,
-              prior_weight: float = DEFAULT_PRIOR_WEIGHT) -> EcddState:
-    if not 0.0 <= p0_estimate <= 1.0:
-        raise ConfigError(f"p0_estimate must be in [0, 1], got {p0_estimate}")
+def check_chart(p0, r: float, limit: float, prior_weight: float) -> np.ndarray:
+    """``p0`` as an array, or ``ConfigError`` unless every chart parameter is in range.
+
+    p0 (a scalar or one per chart) and L must lie in [0, 1] and [0, inf),
+    r in (0, 1), and the prior weight must be >= 0.
+    """
+    p0 = np.asarray(p0, dtype=float)
+    if not np.all((0.0 <= p0) & (p0 <= 1.0)):
+        raise ConfigError(f"p0 must be in [0, 1], got {p0}")
     if not 0.0 < r < 1.0:
         raise ConfigError(f"r must be in (0, 1), got {r}")
-    if limit < 0.0:
+    if not limit >= 0.0:
         raise ConfigError(f"control limit must be >= 0, got {limit}")
-    if prior_weight < 0.0:
+    if not prior_weight >= 0.0:
         raise ConfigError(f"prior_weight must be >= 0, got {prior_weight}")
+    return p0
+
+
+def ecdd_init(p0_estimate: float, r: float, limit: float,
+              prior_weight: float = DEFAULT_PRIOR_WEIGHT) -> EcddState:
+    check_chart(p0_estimate, r, limit, prior_weight)
     return EcddState(r=float(r), limit=float(limit), p0=float(p0_estimate),
                      prior_weight=float(prior_weight), u=float(p0_estimate))
 
 
-def ecdd_step(u, err_sum, error, t: int, p0, prior_weight: float, r: float):
-    """Fold the t-th 0/1 error into one chart or an array of charts.
+def _fold(u_step, err_step, u, err_sum, r: float):
+    """The chart state after a step: u = (1 - r) u + r e and the error count.
 
-    Returns (u, err_sum, p, sigma): the error EWMA, the error count, the
-    running rate with p0 worth ``prior_weight`` errors, and u's std dev.
+    ``u_step`` and ``err_step`` hold the step's own terms r e and e on
+    entry; ``u`` and ``err_sum`` are the state before the step. Arrays
+    (a block's row) are updated in place.
     """
-    u = (1.0 - r) * u + r * error
-    err_sum = err_sum + error
+    u_step += (1.0 - r) * u
+    err_step += err_sum
+    return u_step, err_step
+
+
+def _ramp(t: int, r: float) -> float:
+    """1 - (1 - r)^(2t), u's variance ramp at step t, by Python's ``**``.
+
+    ``np.power`` may round (1 - r)^(2t) differently (it does with AVX-512
+    at t = 1, r = 0.2), so a table of ramps is built from this function.
+    """
+    return 1.0 - (1.0 - r) ** (2 * t)
+
+
+def _rate(err_sum, t, ramp, p0, prior_weight: float, r: float):
+    """(p, sigma) at step t, elementwise for a chart or a block of charts.
+
+    p is the running error rate with p0 worth ``prior_weight`` errors,
+    sigma u's std dev; ``ramp`` is ``_ramp(t, r)``.
+    """
     p = (prior_weight * p0 + err_sum) / (prior_weight + t)
-    sigma = np.sqrt(p * (1.0 - p) * (r / (2.0 - r)) * (1.0 - (1.0 - r) ** (2 * t)))
-    return u, err_sum, p, sigma
+    return p, np.sqrt(p * (1.0 - p) * (r / (2.0 - r)) * ramp)
+
+
+def ecdd_steps(u, err_sum, errors: np.ndarray, t: int, p0, prior_weight: float, r: float):
+    """Fold a (steps, charts) block of 0/1 errors, those of steps t + 1, t + 2, ...
+
+    ``u`` and ``err_sum`` are the charts' state after step t (scalars or
+    one per chart), ``p0`` a scalar or one per chart. Returns (u, err_sum,
+    p, sigma), each (steps, charts). Only u and the error count run step
+    by step, one product and two in-place additions of rows a step; p
+    and sigma are elementwise over the block. Every value is the double
+    that ``ecdd_update`` computes for the chart at that step.
+    """
+    err_sums = errors.astype(float, order="C")  # e, then the count
+    us = r * err_sums  # r e, then u
+    for u_step, err_step in zip(us, err_sums):
+        u, err_sum = _fold(u_step, err_step, u, err_sum, r)
+    steps = range(t + 1, t + len(errors) + 1)
+    ramp = np.array([_ramp(s, r) for s in steps])[:, None]
+    return (us, err_sums,
+            *_rate(err_sums, np.array(steps)[:, None], ramp, p0, prior_weight, r))
 
 
 def ecdd_fires(u, p, sigma, limit: float):
@@ -83,14 +138,14 @@ def ecdd_update(state: EcddState, error: int) -> tuple[float, bool]:
         raise InputError(f"error must be 0 or 1, got {error!r}")
     if state.detected:
         return state.u, True
-    state.n_seen += 1
-    t = state.n_seen
-    state.u, state.err_sum, p, sigma = ecdd_step(state.u, state.err_sum, error, t,
-                                                 state.p0, state.prior_weight, state.r)
-    if ecdd_fires(state.u, p, sigma, state.limit):
+    state.n_seen = t = state.n_seen + 1
+    r = state.r
+    state.u, state.err_sum = u, err_sum = _fold(r * error, error, state.u, state.err_sum, r)
+    p, sigma = _rate(err_sum, t, _ramp(t, r), state.p0, state.prior_weight, r)
+    if ecdd_fires(u, p, float(sigma), state.limit):  # a float: numpy scalars cost more
         state.detected = True
         state.detection_time = t
-    return state.u, state.detected
+    return u, state.detected
 
 
 def _check_features(x, dim: int) -> np.ndarray:

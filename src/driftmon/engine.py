@@ -6,15 +6,15 @@ stepped in lockstep across all replicates with numpy. Rows that detect
 are dropped from the active set as the loop advances. Only the active
 row index and per-row vectors are compacted, never the (rows, K) EWMA
 weights, so a step costs O(active rows). QT-EWMA rows step in
-``qt_ewma.lockstep``, the loop calibration runs; ECDD rows step on
-``ecdd.ecdd_step`` and ``ecdd.ecdd_fires``.
+``qt_ewma.lockstep``, the loop calibration runs; ECDD rows step a block
+of steps at a time through ``ecdd.ecdd_steps`` and ``ecdd.ecdd_fires``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ecdd import ecdd_fires, ecdd_step
+from .ecdd import ECDD_BLOCK, check_chart, ecdd_fires, ecdd_steps
 from .errors import ConfigError, InputError
 from .qt_ewma import lockstep
 from .seeding import tie_uniform
@@ -60,26 +60,51 @@ def batch_first_exceed(bins: np.ndarray, lengths: np.ndarray, table: ThresholdTa
     return out
 
 
-def ecdd_first_exceed(errors: np.ndarray, p0: np.ndarray, prior_weight: float,
-                      r: float, limit: float) -> np.ndarray:
+def _binary(errors: np.ndarray) -> bool:
+    """Whether every entry of ``errors`` is 0 or 1 (for integers, by two reductions)."""
+    if errors.dtype == bool or not errors.size:
+        return True
+    if np.issubdtype(errors.dtype, np.integer):
+        return bool(0 <= errors.min() and errors.max() <= 1)
+    return bool(((errors == 0) | (errors == 1)).all())
+
+
+def ecdd_first_exceed(errors: np.ndarray, p0, prior_weight: float, r: float,
+                      limit: float) -> np.ndarray:
     """First step where the EWMA error chart crosses its control limit.
 
-    Returns per-row 1-based detection steps, 0 where no detection occurs.
+    ``errors``: (n_rows, horizon) 0/1 errors, else ``InputError``. ``p0``
+    (a scalar or one per row), r, L and the prior weight are the chart's
+    parameters, as ``ecdd.ecdd_init`` takes them, else ``ConfigError``.
+    The active rows step ``ECDD_BLOCK`` chart-steps at a time through
+    ``ecdd.ecdd_steps``, and rows that fire leave the active set after
+    their block. Returns per-row 1-based detection steps, 0 where no
+    detection occurs.
     """
+    errors = np.asarray(errors)
+    if errors.ndim != 2:
+        raise InputError(f"errors must be a (rows, steps) matrix, got shape {errors.shape}")
     n_rows, horizon = errors.shape
-    p0 = np.array(np.broadcast_to(np.asarray(p0, dtype=float), (n_rows,)))
-    u = p0.copy()
-    err_sum = np.zeros(n_rows)
+    p0 = check_chart(p0, r, limit, prior_weight)
+    if p0.ndim and p0.shape != (n_rows,):
+        raise ConfigError(f"p0 must be a scalar or one value per row ({n_rows} rows), "
+                          f"got shape {p0.shape}")
+    if not _binary(errors):
+        raise InputError("errors must be 0 or 1")
+    p0 = np.array(np.broadcast_to(p0, (n_rows,)))
+    u, err_sum = p0.copy(), np.zeros(n_rows)
     out = np.zeros(n_rows, dtype=np.int64)
     active = np.arange(n_rows)
-    for t in range(1, horizon + 1):
-        if active.size == 0:
-            break
-        u, err_sum, p, sigma = ecdd_step(u, err_sum, errors[active, t - 1], t, p0,
-                                         prior_weight, r)
-        det = ecdd_fires(u, p, sigma, limit)
-        if det.any():
-            out[active[det]] = t
-            keep = ~det
+    t = 0
+    while t < horizon and active.size:
+        steps = min(horizon - t, max(1, ECDD_BLOCK // active.size))
+        block = errors[:, t:t + steps].take(active, axis=0).T
+        us, err_sums, p, sigma = ecdd_steps(u, err_sum, block, t, p0, prior_weight, r)
+        fired = ecdd_fires(us, p, sigma, limit)
+        hit = fired.any(axis=0)
+        out[active[hit]] = t + 1 + fired[:, hit].argmax(axis=0)
+        u, err_sum, t = us[-1], err_sums[-1], t + steps
+        if hit.any():
+            keep = ~hit
             active, u, err_sum, p0 = active[keep], u[keep], err_sum[keep], p0[keep]
     return out

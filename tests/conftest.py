@@ -134,6 +134,70 @@ def reference_iter_csv_stream(path, lenient: bool = False):
             yield np.array(values), _reference_label(row[-1], lenient, row_number)
 
 
+def reference_ecdd_step(u, err_sum, error, t: int, p0, prior_weight: float, r: float):
+    """The chart step before the block recursion: ``ecdd.ecdd_step``, verbatim.
+
+    Folds the t-th 0/1 error into one chart or an array of charts.
+
+    Returns (u, err_sum, p, sigma): the error EWMA, the error count, the
+    running rate with p0 worth ``prior_weight`` errors, and u's std dev.
+    """
+    u = (1.0 - r) * u + r * error
+    err_sum = err_sum + error
+    p = (prior_weight * p0 + err_sum) / (prior_weight + t)
+    sigma = np.sqrt(p * (1.0 - p) * (r / (2.0 - r)) * (1.0 - (1.0 - r) ** (2 * t)))
+    return u, err_sum, p, sigma
+
+
+def reference_ecdd_fires(u, p, sigma, limit: float):
+    return (sigma > 0.0) & (u > p + limit * sigma)
+
+
+def reference_ecdd_records(error_chunks, p0: float, prior_weight: float, r: float):
+    """The records ``calibration._ecdd_records`` must give: one chart step per call.
+
+    Each chart's records of its ratio (u - p) / sigma, as they were
+    computed before the charts stepped a block at a time.
+    """
+    t, u, err_sum, run_max = 0, p0, 0.0, 0.0
+    found = []
+    for errors in error_chunks:
+        ratio = np.empty((len(errors) + 1, errors.shape[1]))
+        ratio[0] = run_max
+        for j, error in enumerate(errors, start=1):
+            u, err_sum, p, sigma = reference_ecdd_step(u, err_sum, error, t + j, p0,
+                                                        prior_weight, r)
+            ratio[j] = -np.inf  # sigma = 0: the chart cannot fire
+            np.divide(u - p, sigma, out=ratio[j], where=sigma > 0.0)
+        best = np.maximum.accumulate(ratio, axis=0)
+        step, chart = np.nonzero(ratio[1:] > best[:-1])
+        found.append((ratio[step + 1, chart], t + 1 + step, chart))
+        t, run_max = t + len(errors), best[-1]
+    return tuple(np.concatenate(column) for column in zip(*found))
+
+
+def reference_ecdd_first_exceed(errors: np.ndarray, p0: np.ndarray, prior_weight: float,
+                                r: float, limit: float) -> np.ndarray:
+    """The t* ``engine.ecdd_first_exceed`` must give: one chart step per call."""
+    n_rows, horizon = errors.shape
+    p0 = np.array(np.broadcast_to(np.asarray(p0, dtype=float), (n_rows,)))
+    u = p0.copy()
+    err_sum = np.zeros(n_rows)
+    out = np.zeros(n_rows, dtype=np.int64)
+    active = np.arange(n_rows)
+    for t in range(1, horizon + 1):
+        if active.size == 0:
+            break
+        u, err_sum, p, sigma = reference_ecdd_step(u, err_sum, errors[active, t - 1], t, p0,
+                                                    prior_weight, r)
+        det = reference_ecdd_fires(u, p, sigma, limit)
+        if det.any():
+            out[active[det]] = t
+            keep = ~det
+            active, u, err_sum, p0 = active[keep], u[keep], err_sum[keep], p0[keep]
+    return out
+
+
 def bin_counts(hist, data) -> np.ndarray:
     """Per-bin counts of the rows of ``data``."""
     return np.bincount(locate_bins(hist, data), minlength=hist.n_bins)

@@ -287,6 +287,15 @@ def test_ecdd_limit_parameter_errors():
         calibrate_ecdd_limit(0.1, 0.2, 100.0, horizon=0)
     with pytest.raises(ConfigError, match="prior_weight"):
         calibrate_ecdd_limit(0.1, 0.2, 100.0, prior_weight=-1.0)
+    # a count that int() would truncate or a bool is refused, not rounded
+    for bad in (2.5, 2.7, True, 3.0):
+        with pytest.raises(ConfigError, match="replicates must be an integer"):
+            calibrate_ecdd_limit(0.1, 0.2, 100.0, replicates=bad)
+        with pytest.raises(ConfigError, match="horizon must be an integer"):
+            calibrate_ecdd_limit(0.1, 0.2, 100.0, replicates=50, horizon=bad)
+    assert calibrate_ecdd_limit(0.1, 0.2, 50.0, replicates=np.int64(50), seed=3,
+                                horizon=np.int64(1000)) == \
+        calibrate_ecdd_limit(0.1, 0.2, 50.0, replicates=50, seed=3, horizon=1000)
 
 
 def test_ecdd_limit_at_the_clipped_error_floor():

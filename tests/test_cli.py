@@ -173,6 +173,18 @@ def test_malformed_csv_row_reports_number(workdir, capsys, tmp_path):
             assert code == EXIT_IO and "row 2" in err, (name, row, code, err)
 
 
+def test_a_csv_that_is_not_utf8_reports_its_row(workdir, capsys, tmp_path):
+    # a byte that is not UTF-8 on row 2 of the stream or the training file
+    # stops the run as a malformed row does, with its number
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"0.5,1.5,1\n2.5,\xff3.5,2\n")
+    for train, stream in ((workdir["train"], bad), (bad, workdir["stream"])):
+        code = main(["monitor", "--method", "ecdd", "--classifier", "lda",
+                     "--ecdd-limit", "2.0", "--train", str(train), "--stream", str(stream)])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO and "row 2: bytes that are not valid UTF-8" in err, err
+
+
 def test_a_malformed_row_after_the_detection_is_never_reported(workdir, capsys, tmp_path):
     # the stream is read in chunks, but a bad row after the detection row
     # leaves the report as it was; one before it still stops the run

@@ -351,14 +351,58 @@ def test_block_reader_matches_with_one_feature(tmp_path, bad):
             assert_reads_as_per_row(path, lenient)
 
 
-def test_only_a_block_with_a_blank_line_is_parsed_row_by_row(tmp_path, per_row):
+def test_a_blank_line_leaves_its_block_on_the_block_path(tmp_path, per_row):
     path = tmp_path / "blank.csv"
     lines = data_lines(1500, seed=2)
     write_lines(path, lines)
-    first, second = block_ends(path)[:2]
+    first = block_ends(path)[0]
     write_lines(path, lines[:first + 5] + [""] + lines[first + 5:])
     assert len(list(iter_csv_stream(path))) == 1500
-    assert len(per_row) == 1 + (second + 1 - first)
+    assert len(per_row) == 1  # the first data row alone
+
+
+@pytest.mark.parametrize("blank", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_blank_lines_match_the_per_row_reader(tmp_path, per_row, end, blank):
+    # runs of lines that are only a line ending across both sides of a
+    # block end, one inside a block, and one ending the file: the rows of
+    # the per-row reader, with no block parsed row by row
+    path = tmp_path / "blanks.csv"
+    lines = [line + end for line in data_lines(1500, seed=8)]
+    path.write_text("".join(lines), newline="")
+    first, second = block_ends(path)[:2]
+    edited = (lines[:first - 1] + [blank] * 200 + lines[first - 1:second - 9] + [blank]
+              + lines[second - 9:] + [blank])
+    path.write_text("".join(edited), newline="")
+    with open(path, newline="", encoding="utf-8") as fh:
+        blocks = list(iter(lambda: fh.readlines(BLOCK_BYTES), []))
+    assert blocks[0][-1] in ("\n", "\r\n", "\r") and blocks[1][0] in ("\n", "\r\n", "\r")
+    rows, error = assert_reads_as_per_row(path)
+    assert len(rows) == 1500 and error is None
+    assert len(per_row) == 1
+    # a line of spaces is no blank line: it fails as the per-row rules fail
+    edited[first + 3] = " " + blank
+    path.write_text("".join(edited), newline="")
+    assert "expected 9 columns, got 1" in assert_reads_as_per_row(path)[1][1]
+
+
+def test_bytes_that_are_not_utf8_raise_at_their_row(tmp_path):
+    path = tmp_path / "latin1.csv"
+    lines = [line.encode() for line in data_lines(1000, seed=9)]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    for row in (1, 2, block_ends(path)[0] + 4):
+        for bad in (b"\xff" + lines[row - 1], lines[row - 1] + b"\xe9"):
+            path.write_bytes(b"\n".join(lines[:row - 1] + [bad] + lines[row:]) + b"\n")
+            rows = iter_csv_stream(path)
+            assert len(list(itertools.islice(rows, row - 1))) == row - 1
+            message = f"row {row}: bytes that are not valid UTF-8"
+            with pytest.raises(FormatError, match=message):
+                next(rows)
+            with pytest.raises(FormatError, match=message):
+                read_csv_stream(path)
+    # UTF-8 text that is not ASCII reads as before, here a header
+    path.write_bytes("f1,f2,f3,f4,f5,f6,f7,f8,étiquette\n".encode() + b"\n".join(lines))
+    assert len(list(iter_csv_stream(path))) == 1000
 
 
 def test_a_quote_sends_the_rest_of_the_file_to_the_csv_module(tmp_path, per_row):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_knn_predict
+from conftest import reference_ecdd_fires, reference_ecdd_step, reference_knn_predict
 
 from driftmon import (ConfigError, EcddMonitor, InputError, cross_val_error, ecdd_init,
                       ecdd_update, fit_classifier, run_labeled_stream)
@@ -67,6 +67,25 @@ def test_zero_sigma_never_fires():
     assert u == pytest.approx(0.08)
     assert not detected
     assert ecdd_first_exceed(np.zeros((1, 5), dtype=np.uint8), 0.1, 0.0, 0.2, 3.0)[0] == 0
+
+
+def test_update_gives_the_doubles_of_the_per_step_reference():
+    # u and the error count at every step, and the step the chart fires
+    # at, are those of the chart step written as one expression per value
+    errors = (rng_from(44).random(3000) < 0.2).astype(int).tolist()
+    for r, prior_weight, limit in ((0.2, 100.0, 3.0), (0.05, 0.0, 2.5), (0.2, 100.0, 1e9)):
+        state = ecdd_init(0.1, r, limit, prior_weight=prior_weight)
+        u, err_sum, fired = 0.1, 0.0, None
+        for t, error in enumerate(errors, start=1):
+            u, err_sum, p, sigma = reference_ecdd_step(u, err_sum, error, t, 0.1,
+                                                       prior_weight, r)
+            assert ecdd_update(state, error) == (u, bool(reference_ecdd_fires(u, p, sigma,
+                                                                              limit)))
+            assert state.err_sum == err_sum
+            if state.detected:
+                fired = t
+                break
+        assert (fired is None) == (limit == 1e9)
 
 
 def test_update_rejects_non_binary():

@@ -3,9 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from driftmon import InputError, QtEwmaDetector, ThresholdTable, build_quanttree
+from conftest import reference_ecdd_first_exceed, reference_ecdd_records
+
+from driftmon import (ConfigError, InputError, QtEwmaDetector, ThresholdTable, build_quanttree,
+                      calibrate_ecdd_limit)
+from driftmon import calibration
 from driftmon.calibration import _ecdd_records, _mean_detection_curve
-from driftmon.ecdd import ecdd_init, ecdd_update
+from driftmon.ecdd import ECDD_BLOCK, ecdd_init, ecdd_update
 from driftmon.engine import batch_first_exceed, ecdd_first_exceed
 from driftmon.qt_ewma import ewma_step
 from driftmon.seeding import rng_from
@@ -134,6 +138,72 @@ def test_ecdd_limit_calibration_first_exceed_matches_batch():
         assert via_records == np.where(direct > 0, direct, 400).mean()
         fired_some |= 0 < int((direct > 0).sum()) < 30  # both outcomes occur
     assert fired_some
+
+
+# (replicates, horizon, p0, r, prior weight): one chart, a horizon of no
+# block multiple with sigma = 0 at the start, the monitor and the bench
+# calibration shapes, and blocks of a few steps
+ECDD_SHAPES = [(1, 1000, 0.1, 0.2, 100.0), (7, 5003, 1e-3, 0.05, 0.0),
+               (200, 60_000, 0.19, 0.2, 100.0), (2000, 1000, 0.1, 0.2, 100.0),
+               (5000, 7500, 0.13, 0.2, 100.0)]
+
+
+@pytest.mark.parametrize("replicates,horizon,p0,r,prior_weight", ECDD_SHAPES)
+def test_ecdd_blocks_match_the_per_step_loop(monkeypatch, replicates, horizon, p0, r,
+                                             prior_weight):
+    # the records, the limit and t* are the doubles and steps that one
+    # chart step per call gave, the reference drawing its errors in the
+    # blocks of 2^18 uniforms the calibration drew before
+    def chunks(block):
+        rng = rng_from(21)
+        return (rng.random((min(block, horizon - start), replicates)) < p0
+                for start in range(0, horizon, block))
+
+    got = _ecdd_records(chunks(max(1, ECDD_BLOCK // replicates)), p0, prior_weight, r)
+    expected = reference_ecdd_records(chunks(max(1, (1 << 18) // replicates)), p0,
+                                      prior_weight, r)
+    assert len(expected[0]) > 0
+    for column, reference in zip(got, expected):
+        assert column.dtype == reference.dtype and np.array_equal(column, reference)
+
+    def limit():
+        return calibrate_ecdd_limit(p0, r, horizon / 20, replicates=replicates, seed=21,
+                                    prior_weight=prior_weight, horizon=horizon)
+
+    found = limit()
+    monkeypatch.setattr(calibration, "_ecdd_records", reference_ecdd_records)
+    assert found == limit()
+
+    rng = rng_from(22)
+    n_rows = min(replicates, 2000)
+    row_p0 = np.minimum(p0 * rng.uniform(0.5, 1.5, n_rows), 1.0)
+    errors = (rng.random((n_rows, horizon)) < row_p0[:, None]).astype(np.uint8)
+    for p0_arg in (p0, row_p0):
+        t_star = ecdd_first_exceed(errors, p0_arg, prior_weight, r, found)
+        assert np.array_equal(t_star, reference_ecdd_first_exceed(errors, p0_arg, prior_weight,
+                                                                  r, found))
+    assert replicates == 1 or t_star.any()
+
+
+def test_ecdd_first_exceed_checks_its_inputs():
+    errors = np.zeros((2, 5), dtype=np.uint8)
+    for bad in (np.full((2, 5), 3), np.full((2, 5), -1), np.full((2, 5), 0.5),
+                np.full((2, 5), np.nan), np.zeros(5)):
+        with pytest.raises(InputError, match="errors"):
+            ecdd_first_exceed(bad, 0.1, 100.0, 0.2, 3.0)
+    for p0 in (1.5, -0.1, np.nan, [0.1, 0.1, 0.1], [[0.1, 0.1]], [0.1, 1.5]):
+        with pytest.raises(ConfigError, match="p0"):
+            ecdd_first_exceed(errors, p0, 100.0, 0.2, 3.0)
+    for prior_weight, r, limit, name in ((100.0, 0.2, -1.0, "control limit"),
+                                         (100.0, 0.0, 3.0, "r must"), (100.0, 1.0, 3.0, "r must"),
+                                         (-1.0, 0.2, 3.0, "prior_weight")):
+        with pytest.raises(ConfigError, match=name):
+            ecdd_first_exceed(errors, 0.1, prior_weight, r, limit)
+    # per-row and scalar p0, a zero prior weight, and 0/1 errors of any dtype stay accepted
+    for ok in (errors, errors.astype(bool), errors.astype(float), np.ones((2, 5))):
+        assert ecdd_first_exceed(ok, [0.1, 0.2], 0.0, 0.2, 3.0).shape == (2,)
+    assert ecdd_first_exceed(np.ones((2, 5), dtype=np.int64), 0.1, 100.0, 0.2, 0.0).tolist() \
+        == [1, 1]
 
 
 def test_batch_first_exceed_statistic_order_of_operations(small_table):
