@@ -17,8 +17,8 @@ probability of firing under the randomized rule (S_t > h_t, or S_t ==
 h_t with probability gamma_t) is a constant alpha at every step,
 including the first steps where the statistic takes only a handful of
 values. The ECDD limit is solved exactly, with no search, from the
-running-maximum records of charts stepped a block of ``ecdd.ECDD_BLOCK``
-chart-steps at a time by ``ecdd.ecdd_steps``.
+running-maximum records of charts stepped by ``ecdd.ecdd_blocks``, the
+loop the batch engine iterates too.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ import math
 
 import numpy as np
 
-from .ecdd import DEFAULT_PRIOR_WEIGHT, ECDD_BLOCK, ecdd_steps
+from .ecdd import DEFAULT_PRIOR_WEIGHT, check_chart, ecdd_blocks
 from .errors import CalibrationError, ConfigError
 from .qt_ewma import lockstep
 from .quanttree import _bin_allocation
-from .seeding import rng_from
-from .thresholds import ThresholdTable
+from .seeding import check_count, rng_from
+from .thresholds import ThresholdTable, check_arl0
 
 DEFAULT_REPLICATES = 100_000
 SURVIVOR_FLOOR = 1000  # fewest replicates a quantile step may rest on
@@ -165,21 +165,20 @@ def calibrate_thresholds(train_size: int, n_bins: int, lam: float, arl0_target: 
     ``t_max`` steps of the uncapped one. Either way the table must reach
     5 / lam steps, the EWMA memory.
     """
-    if replicates < 10_000:
-        raise ConfigError(f"replicates must be >= 10000, got {replicates}")
+    replicates = check_count(replicates, "replicates", 10_000)
     if not 0.0 < lam < 1.0:
         raise ConfigError(f"lambda must be in (0, 1), got {lam}")
-    if t_max is not None and t_max < 5.0 / lam:
-        raise ConfigError(f"t_max must be >= 5/lambda = {5.0 / lam:.0f}, got {t_max}")
-    if arl0_target < 2.0:
-        raise ConfigError(f"arl0_target must be >= 2, got {arl0_target}")
-    if n_bins < 2:
-        raise ConfigError(f"n_bins must be >= 2, got {n_bins}")
-    if train_size < n_bins:
-        raise ConfigError(f"train_size {train_size} < n_bins {n_bins}")
+    needed = math.ceil(5.0 / lam)  # the EWMA memory
+    if t_max is not None:
+        needed = t_max = check_count(t_max, "t_max", needed)
+    check_arl0(arl0_target)
+    if replicates < arl0_target:
+        raise ConfigError(f"replicates must be >= arl0_target = {arl0_target}, got "
+                          f"{replicates}: fewer than one replicate a step would fire")
+    n_bins = check_count(n_bins, "n_bins", 2)
+    train_size = check_count(train_size, "train_size", n_bins)
 
     alpha = 1.0 / arl0_target
-    needed = t_max if t_max is not None else math.ceil(5.0 / lam)
     h, gamma = [], []
 
     def quantile_rule(t: int, stat: np.ndarray) -> tuple[float, float] | None:
@@ -224,34 +223,31 @@ def replay_exceedance(table: ThresholdTable, replicates: int, seed: int,
     exceedances/at_risk estimates the conditional exceedance probability,
     which calibration targets at alpha.
     """
-    if replicates < 1:
-        raise ConfigError(f"replicates must be >= 1, got {replicates}")
+    replicates = check_count(replicates, "replicates")
     horizon = table.t_max if horizon is None else horizon
     return _peel(table.train_size, table.n_bins, replicates, table.lam, horizon,
                  rng_from(seed), lambda t, stat: table.at(t))
 
 
-def _ecdd_records(error_chunks, p0: float, prior_weight: float, r: float):
+def _ecdd_records(blocks):
     """Each chart's records of its ratio (u - p) / sigma.
 
     A record is a (value, step) at which the ratio beats the chart's running
-    maximum and 0. ``error_chunks`` yields time-major (steps, charts) blocks
-    of 0/1 errors, each stepped whole by ``ecdd.ecdd_steps``. Returns
-    (values, steps, charts) in step order.
+    maximum and 0. ``blocks`` yields the (t, u, p, sigma) blocks of
+    ``ecdd.ecdd_blocks``. Returns (values, steps, charts) in step order.
     """
-    t, u, err_sum, run_max = 0, p0, 0.0, 0.0
+    run_max = 0.0
     found = []
-    for errors in error_chunks:
-        us, err_sums, p, sigma = ecdd_steps(u, err_sum, errors, t, p0, prior_weight, r)
-        ratio = np.full(us.shape, -np.inf)  # sigma = 0: the chart cannot fire
-        np.divide(us - p, sigma, out=ratio, where=sigma > 0.0)
+    for t, u, p, sigma in blocks:
+        ratio = np.full(u.shape, -np.inf)  # sigma = 0: the chart cannot fire
+        np.divide(u - p, sigma, out=ratio, where=sigma > 0.0)
         best = np.empty((len(ratio) + 1, ratio.shape[1]))  # running maxima
         best[0] = run_max
         for j, row in enumerate(ratio):  # faster than maximum.accumulate on axis 0
             np.maximum(best[j], row, out=best[j + 1])
         step, chart = divmod(np.flatnonzero(ratio > best[:-1]), ratio.shape[1])
         found.append((ratio[step, chart], t + 1 + step, chart))
-        t, u, err_sum, run_max = t + len(errors), us[-1], err_sums[-1], best[-1]
+        run_max = best[-1]
     return tuple(np.concatenate(column) for column in zip(*found))
 
 
@@ -274,15 +270,6 @@ def _mean_detection_curve(values, steps, charts, n_charts: int, horizon: int):
     return np.concatenate(([0.0], v[last_of_value])), (n_charts * horizon - above) / n_charts
 
 
-def _positive_integer(value, name: str) -> int:
-    """``value`` as an int; ConfigError unless a Python or numpy integer >= 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value}")
-    return int(value)
-
-
 def calibrate_ecdd_limit(p0: float, r: float, arl0_target: float,
                          replicates: int = 5000, seed: int = 0,
                          prior_weight: float = DEFAULT_PRIOR_WEIGHT,
@@ -297,21 +284,16 @@ def calibrate_ecdd_limit(p0: float, r: float, arl0_target: float,
     """
     if not 0.0 < p0 < 1.0:
         raise ConfigError(f"p0 must be in (0, 1), got {p0}")
-    if not 0.0 < r < 1.0:
-        raise ConfigError(f"r must be in (0, 1), got {r}")
-    if arl0_target < 2.0:
-        raise ConfigError(f"arl0_target must be >= 2, got {arl0_target}")
-    replicates = _positive_integer(replicates, "replicates")
-    if prior_weight < 0.0:
-        raise ConfigError(f"prior_weight must be >= 0, got {prior_weight}")
-    horizon = _positive_integer(int(20 * arl0_target) if horizon is None else horizon, "horizon")
+    check_chart(p0, r, 0.0, prior_weight)
+    check_arl0(arl0_target)
+    replicates = check_count(replicates, "replicates")
+    horizon = check_count(int(20 * arl0_target) if horizon is None else horizon, "horizon")
 
     rng = rng_from(seed)
-    block = max(1, ECDD_BLOCK // replicates)
-    chunks = (rng.random((min(block, horizon - start), replicates)) < p0
-              for start in range(0, horizon, block))
-    levels, means = _mean_detection_curve(*_ecdd_records(chunks, p0, prior_weight, r),
-                                          replicates, horizon)
+    blocks = ecdd_blocks(replicates, horizon,
+                         lambda t, steps: rng.random((steps, replicates)) < p0,
+                         p0, prior_weight, r)
+    levels, means = _mean_detection_curve(*_ecdd_records(blocks), replicates, horizon)
     k = int(np.searchsorted(means, arl0_target))
     if k == means.size:
         raise CalibrationError(

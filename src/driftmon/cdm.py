@@ -56,16 +56,17 @@ class CdmMonitor:
         reject (an unseen label under the strict rule, a labeled row of
         the wrong width or with a non-finite feature) raises that call's
         ``InputError`` after the rows before it are processed, unless
-        they detected.
+        they detected. A label that is not an integer (2.7, NaN) is
+        refused as an unseen one is, with ``class_labels``' error.
         """
         if self.detection is not None:
             return self.detection
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=np.int64)
+        y, whole = integer_labels(y)
         labeled = np.asarray(labeled, dtype=bool)
         classes = sorted(self.detectors)
         slot = np.searchsorted(classes, y).clip(max=len(classes) - 1)  # y's class, if any
-        known = labeled & (np.take(classes, slot) == y)
+        known = labeled & whole & (np.take(classes, slot) == y)
         sized = np.array([self.detectors[m].hist.dim == x.shape[1] for m in classes])
         rejected = known & ~(sized[slot] & np.isfinite(x).all(axis=1))
         if not self.lenient_labels:
@@ -86,6 +87,8 @@ class CdmMonitor:
         self.skipped_unknown += int((labeled[:stop] & ~known[:stop]).sum())
         if self.detection is None and stop < len(x):
             label = int(y[stop])
+            if not whole[stop]:
+                raise InputError("class labels must be integers")
             if label not in self.detectors:
                 raise InputError(f"unseen class label {label!r}")
             self.detectors[label].update(x[stop])  # raises before any state moves
@@ -115,13 +118,26 @@ def class_seed(seed: int, label: int) -> int:
     return int(seed) + int(label)
 
 
+def integer_labels(y) -> tuple[np.ndarray, np.ndarray]:
+    """``y`` as int64 labels, 0 where one is not an integer (2.7, NaN), and
+    whether each is one."""
+    y = np.asarray(y)
+    if y.dtype.kind in "iu":
+        return y.astype(np.int64), np.ones(y.shape, dtype=bool)
+    whole = np.zeros(y.shape, dtype=bool)
+    if y.dtype.kind == "f":
+        whole = np.isfinite(y) & (y == np.trunc(y))
+    labels = np.zeros(y.shape, dtype=np.int64)
+    labels[whole] = y[whole]
+    return labels, whole
+
+
 def class_labels(y) -> np.ndarray:
     """``y`` as int64 labels; InputError if one is not an integer (2.7, NaN)."""
-    y = np.asarray(y)
-    if y.dtype.kind not in "iu" and (
-            y.dtype.kind != "f" or not (np.isfinite(y) & (y == np.trunc(y))).all()):
+    y, whole = integer_labels(y)
+    if not whole.all():
         raise InputError("class labels must be integers")
-    return y.astype(np.int64)
+    return y
 
 
 def fit_class_histograms(train_x, train_y, n_bins: int, seed: int) -> dict[int, "object"]:

@@ -7,8 +7,8 @@ rule is one-sided: only error-increasing drifts can be detected.
 The chart recursion is written once: ``_fold`` steps u and the error
 count, ``_rate`` gives p and sigma, and ``ecdd_fires`` is the firing
 rule. ``ecdd_update`` folds one error of one chart with them, and
-``ecdd_steps`` a (steps, charts) block, which ``engine`` and
-``calibration`` step through.
+``ecdd_blocks`` steps many charts a (steps, charts) block at a time: the
+one loop that ``engine`` and ``calibration`` iterate.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cdm import Detection, class_labels
+from .cdm import Detection, class_labels, integer_labels
 from .errors import ConfigError, InputError, NumericError
 from .seeding import rng_from
 
@@ -30,8 +30,8 @@ CV_FOLDS = 5  # folds of the cross-validated training error rate p0
 # running mean. Without it the estimate collapses onto the first few stream
 # errors and the chart fires spuriously at t = 1.
 DEFAULT_PRIOR_WEIGHT = 100.0
-# chart-steps per ecdd_steps block in the limit calibration and the batch
-# engine: it bounds the block's temporaries, a few float arrays of this size
+# chart-steps per ecdd_blocks block: it bounds the block's temporaries, a
+# few float arrays of this size
 ECDD_BLOCK = 1 << 15
 
 
@@ -52,7 +52,7 @@ def check_chart(p0, r: float, limit: float, prior_weight: float) -> np.ndarray:
     """``p0`` as an array, or ``ConfigError`` unless every chart parameter is in range.
 
     p0 (a scalar or one per chart) and L must lie in [0, 1] and [0, inf),
-    r in (0, 1), and the prior weight must be >= 0.
+    r in (0, 1), and the prior weight must be finite and >= 0.
     """
     p0 = np.asarray(p0, dtype=float)
     if not np.all((0.0 <= p0) & (p0 <= 1.0)):
@@ -61,8 +61,8 @@ def check_chart(p0, r: float, limit: float, prior_weight: float) -> np.ndarray:
         raise ConfigError(f"r must be in (0, 1), got {r}")
     if not limit >= 0.0:
         raise ConfigError(f"control limit must be >= 0, got {limit}")
-    if not prior_weight >= 0.0:
-        raise ConfigError(f"prior_weight must be >= 0, got {prior_weight}")
+    if not 0.0 <= prior_weight < np.inf:
+        raise ConfigError(f"prior_weight must be finite and >= 0, got {prior_weight}")
     return p0
 
 
@@ -104,24 +104,29 @@ def _rate(err_sum, t, ramp, p0, prior_weight: float, r: float):
     return p, np.sqrt(p * (1.0 - p) * (r / (2.0 - r)) * ramp)
 
 
-def ecdd_steps(u, err_sum, errors: np.ndarray, t: int, p0, prior_weight: float, r: float):
-    """Fold a (steps, charts) block of 0/1 errors, those of steps t + 1, t + 2, ...
+def ecdd_blocks(n_charts: int, horizon: int, errors, p0, prior_weight: float, r: float):
+    """Step ``n_charts`` fresh charts ``horizon`` steps; yield (t, u, p, sigma) per block.
 
-    ``u`` and ``err_sum`` are the charts' state after step t (scalars or
-    one per chart), ``p0`` a scalar or one per chart. Returns (u, err_sum,
-    p, sigma), each (steps, charts). Only u and the error count run step
-    by step, one product and two in-place additions of rows a step; p
-    and sigma are elementwise over the block. Every value is the double
-    that ``ecdd_update`` computes for the chart at that step.
+    The charts start at u = ``p0`` (a scalar or one per chart) and step
+    ``max(1, ECDD_BLOCK // n_charts)`` steps a block; ``errors(t, steps)``
+    gives the (steps, charts) 0/1 errors of steps t + 1, ..., t + steps.
+    Each yield holds the t before the block and the block's (steps,
+    charts) u, p and sigma. Only u and the error count run step by step,
+    one product and two in-place additions of rows a step; p and sigma
+    are elementwise over the block. Every value is the double that
+    ``ecdd_update`` computes for the chart at that step.
     """
-    err_sums = errors.astype(float, order="C")  # e, then the count
-    us = r * err_sums  # r e, then u
-    for u_step, err_step in zip(us, err_sums):
-        u, err_sum = _fold(u_step, err_step, u, err_sum, r)
-    steps = range(t + 1, t + len(errors) + 1)
-    ramp = np.array([_ramp(s, r) for s in steps])[:, None]
-    return (us, err_sums,
-            *_rate(err_sums, np.array(steps)[:, None], ramp, p0, prior_weight, r))
+    block = max(1, ECDD_BLOCK // max(1, n_charts))
+    u, err_sum = p0, 0.0
+    for t in range(0, horizon, block):
+        # e, then the count
+        err_sums = errors(t, min(block, horizon - t)).astype(float, order="C")
+        us = r * err_sums  # r e, then u
+        for u_step, err_step in zip(us, err_sums):
+            u, err_sum = _fold(u_step, err_step, u, err_sum, r)
+        steps = range(t + 1, t + len(us) + 1)
+        ramp = np.array([_ramp(s, r) for s in steps])[:, None]
+        yield (t, us, *_rate(err_sums, np.array(steps)[:, None], ramp, p0, prior_weight, r))
 
 
 def ecdd_fires(u, p, sigma, limit: float):
@@ -374,17 +379,17 @@ class EcddMonitor:
         ``LabeledStream`` chunk. The labeled rows are classified in one
         ``predict`` call, and their errors are folded into the chart in
         stream order until it fires. A labeled row that ``predict``
-        rejects (the wrong width, a non-finite feature) raises its
-        ``InputError`` after the rows before it are processed, unless
-        they detected.
+        rejects (the wrong width, a non-finite feature), or whose label
+        is not an integer (2.7, NaN), raises its ``InputError`` after the
+        rows before it are processed, unless they detected.
         """
         if self.detection is not None:
             return self.detection
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=np.int64)
+        y, whole = integer_labels(y)
         rows = np.flatnonzero(labeled)
-        finite = np.isfinite(x[rows]).all(axis=1)
-        stop = int(rows[finite.argmin()]) if not finite.all() else len(x)
+        valid = whole[rows] & np.isfinite(x[rows]).all(axis=1)
+        stop = int(rows[valid.argmin()]) if not valid.all() else len(x)
         rows = rows[rows < stop]
         base = self.global_t
         try:
@@ -399,6 +404,8 @@ class EcddMonitor:
                 break
         self.global_t = base + stop
         if self.detection is None and stop < len(x):
+            if not whole[stop]:
+                raise InputError("class labels must be integers")
             # the row's own error: knn and lda raise a width mismatch first
             self.classifier.predict(x[stop:stop + 1])
             raise InputError("features contain non-finite values")

@@ -2,19 +2,18 @@
 
 Replicates are prepared one at a time from their own derived seeds (so
 results match a strictly sequential run), then the time recursions are
-stepped in lockstep across all replicates with numpy. Rows that detect
-are dropped from the active set as the loop advances. Only the active
-row index and per-row vectors are compacted, never the (rows, K) EWMA
-weights, so a step costs O(active rows). QT-EWMA rows step in
-``qt_ewma.lockstep``, the loop calibration runs; ECDD rows step a block
-of steps at a time through ``ecdd.ecdd_steps`` and ``ecdd.ecdd_fires``.
+stepped in lockstep across all replicates with numpy, in the loops that
+calibration runs too. QT-EWMA rows step in ``qt_ewma.lockstep``, which
+drops rows that detect from the active set, so a step costs O(active
+rows). ECDD rows step a block of steps at a time in ``ecdd.ecdd_blocks``,
+all rows to the end of the block in which the last of them fires.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ecdd import ECDD_BLOCK, check_chart, ecdd_fires, ecdd_steps
+from .ecdd import check_chart, ecdd_blocks, ecdd_fires
 from .errors import ConfigError, InputError
 from .qt_ewma import lockstep
 from .seeding import tie_uniform
@@ -76,9 +75,8 @@ def ecdd_first_exceed(errors: np.ndarray, p0, prior_weight: float, r: float,
     ``errors``: (n_rows, horizon) 0/1 errors, else ``InputError``. ``p0``
     (a scalar or one per row), r, L and the prior weight are the chart's
     parameters, as ``ecdd.ecdd_init`` takes them, else ``ConfigError``.
-    The active rows step ``ECDD_BLOCK`` chart-steps at a time through
-    ``ecdd.ecdd_steps``, and rows that fire leave the active set after
-    their block. Returns per-row 1-based detection steps, 0 where no
+    The rows step together through ``ecdd.ecdd_blocks`` until every row
+    has fired. Returns per-row 1-based detection steps, 0 where no
     detection occurs.
     """
     errors = np.asarray(errors)
@@ -91,20 +89,12 @@ def ecdd_first_exceed(errors: np.ndarray, p0, prior_weight: float, r: float,
                           f"got shape {p0.shape}")
     if not _binary(errors):
         raise InputError("errors must be 0 or 1")
-    p0 = np.array(np.broadcast_to(p0, (n_rows,)))
-    u, err_sum = p0.copy(), np.zeros(n_rows)
     out = np.zeros(n_rows, dtype=np.int64)
-    active = np.arange(n_rows)
-    t = 0
-    while t < horizon and active.size:
-        steps = min(horizon - t, max(1, ECDD_BLOCK // active.size))
-        block = errors[:, t:t + steps].take(active, axis=0).T
-        us, err_sums, p, sigma = ecdd_steps(u, err_sum, block, t, p0, prior_weight, r)
-        fired = ecdd_fires(us, p, sigma, limit)
-        hit = fired.any(axis=0)
-        out[active[hit]] = t + 1 + fired[:, hit].argmax(axis=0)
-        u, err_sum, t = us[-1], err_sums[-1], t + steps
-        if hit.any():
-            keep = ~hit
-            active, u, err_sum, p0 = active[keep], u[keep], err_sum[keep], p0[keep]
+    for t, u, p, sigma in ecdd_blocks(n_rows, horizon, lambda t, steps: errors[:, t:t + steps].T,
+                                      p0, prior_weight, r):
+        fired = ecdd_fires(u, p, sigma, limit)
+        first = (out == 0) & fired.any(axis=0)
+        out[first] = t + 1 + fired[:, first].argmax(axis=0)
+        if out.all():
+            break  # every row has fired
     return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .seeding import rng_from
+from .seeding import check_count, rng_from
 
 LOWER = "lower"  # bin is {x : x[dim] <= threshold}
 UPPER = "upper"  # bin is {x : x[dim] >  threshold}
@@ -93,8 +93,7 @@ def build_quanttree(training, n_bins: int, seed: int) -> QuantTreeHistogram:
         raise InputError("training must be a non-empty N x d matrix")
     if not np.all(np.isfinite(x)):
         raise InputError("training contains non-finite values")
-    if n_bins < 2:
-        raise ConfigError(f"n_bins must be >= 2, got {n_bins}")
+    n_bins = check_count(n_bins, "n_bins", 2)
     n, d = x.shape
     if n < n_bins:
         raise ConfigError(f"need at least {n_bins} training points, got {n}")

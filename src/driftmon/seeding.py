@@ -23,6 +23,15 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
+def check_count(value, name: str, floor: int = 1) -> int:
+    """``value`` as an int; ConfigError unless a Python or numpy integer >= ``floor``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < floor:
+        raise ConfigError(f"{name} must be >= {floor}, got {value}")
+    return int(value)
+
+
 def derive_seed(master: int, *path: int) -> int:
     """Return a 64-bit seed derived from ``master`` and an index path."""
     ss = np.random.SeedSequence([check_seed(master), *(int(p) for p in path)])

@@ -28,6 +28,15 @@ TABLE_FORMAT_VERSION = 2
 TAIL_CONSTANT = "constant"
 
 
+def check_arl0(arl0_target, error=ConfigError) -> None:
+    """Raise ``error`` unless the ARL0 target is finite and >= 2.
+
+    Calibration cannot resolve a smaller, NaN or infinite target.
+    """
+    if not 2.0 <= arl0_target < np.inf:
+        raise error(f"arl0_target must be finite and >= 2, got {arl0_target}")
+
+
 @dataclass(frozen=True)
 class ThresholdTable:
     n_bins: int
@@ -46,8 +55,7 @@ class ThresholdTable:
             raise FormatError(f"table n_bins must be >= 2, got {self.n_bins}")
         if self.train_size < self.n_bins:
             raise FormatError(f"table train_size {self.train_size} < n_bins {self.n_bins}")
-        if not self.arl0_target >= 2.0:
-            raise FormatError(f"table arl0_target must be >= 2, got {self.arl0_target}")
+        check_arl0(self.arl0_target, FormatError)
         h = np.asarray(self.thresholds, dtype=float)
         g = np.asarray(self.gamma, dtype=float)
         if h.ndim != 1 or h.size == 0 or g.shape != h.shape:

@@ -73,6 +73,29 @@ def test_calibrate_preconditions():
         calibrate_thresholds(64, 1, 0.03, 50.0, t_max=170, replicates=10_000)
 
 
+@pytest.mark.parametrize("name,value", [("replicates", 20_000.5), ("t_max", 170.5),
+                                        ("train_size", 64.5), ("n_bins", 8.0),
+                                        ("replicates", True)])
+def test_calibrate_refuses_a_count_that_is_not_an_integer(name, value):
+    counts = dict(train_size=64, n_bins=8, t_max=170, replicates=10_000)
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        calibrate_thresholds(lam=0.03, arl0_target=50.0, **{**counts, name: value})
+
+
+def test_arl0_targets_that_calibration_cannot_resolve_are_refused():
+    # NaN raised numpy's ValueError, inf OverflowError or no return, and a
+    # target above the replicates peeled none of them; each is refused
+    # before a replicate is drawn (NaN first: the others never returned)
+    for arl0 in (np.nan, np.inf, 1.5):
+        with pytest.raises(ConfigError, match="arl0_target must be finite and >= 2"):
+            calibrate_ecdd_limit(0.1, 0.2, arl0)
+        with pytest.raises(ConfigError, match="arl0_target must be finite and >= 2"):
+            calibrate_thresholds(64, 8, 0.03, arl0, replicates=10_000)
+    for arl0 in (10_001.0, 1e300):  # the first returns a table if not refused
+        with pytest.raises(ConfigError, match="replicates must be >= arl0_target"):
+            calibrate_thresholds(64, 8, 0.03, arl0, replicates=10_000)
+
+
 def test_survivor_floor_raises():
     # alpha = 0.2 burns 10k replicates below the floor long before t_max,
     # and without a cap long before the 5/lambda steps a table must reach
@@ -285,8 +308,10 @@ def test_ecdd_limit_parameter_errors():
         calibrate_ecdd_limit(0.1, 0.2, 100.0, replicates=0)
     with pytest.raises(ConfigError, match="horizon"):
         calibrate_ecdd_limit(0.1, 0.2, 100.0, horizon=0)
-    with pytest.raises(ConfigError, match="prior_weight"):
-        calibrate_ecdd_limit(0.1, 0.2, 100.0, prior_weight=-1.0)
+    # a NaN or infinite weight gave L = 0, which fires at the first error
+    for prior_weight in (-1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="prior_weight"):
+            calibrate_ecdd_limit(0.1, 0.2, 375.0, replicates=200, prior_weight=prior_weight)
     # a count that int() would truncate or a bool is refused, not rounded
     for bad in (2.5, 2.7, True, 3.0):
         with pytest.raises(ConfigError, match="replicates must be an integer"):

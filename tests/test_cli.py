@@ -52,6 +52,18 @@ def test_calibrate_refuses_one_bin(tmp_path, capsys):
     assert not (tmp_path / "table.json").exists()
 
 
+def test_calibrate_refuses_a_target_it_cannot_resolve(tmp_path, capsys):
+    # NaN ended in a traceback, inf and 1e300 never returned (NaN runs first)
+    for arl0, message in (("nan", "arl0_target must be finite"),
+                          ("inf", "arl0_target must be finite"),
+                          ("1e300", "replicates must be >= arl0_target")):
+        code = main(["calibrate", "--k", "8", "--train-size", "64", "--replicates", "10000",
+                     "--arl0", arl0, "--out", str(tmp_path / "table.json")])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "table.json").exists()
+
+
 def test_monitor_cdm_detects_planted_class2_drift(workdir, capsys):
     code = main(["monitor", "--method", "cdm", "--train", str(workdir["train"]),
                  "--stream", str(workdir["stream"]),
@@ -140,6 +152,13 @@ def test_monitor_ecdd_requires_limit_or_target(workdir, capsys):
     code = main(["monitor", "--method", "ecdd", "--train", str(workdir["train"]),
                  "--stream", str(workdir["stream"])])
     assert code == EXIT_CONFIG
+
+
+def test_monitor_ecdd_refuses_a_nan_target(workdir, capsys):
+    code = main(["monitor", "--method", "ecdd", "--train", str(workdir["train"]),
+                 "--stream", str(workdir["stream"]), "--arl0", "nan"])
+    assert code == EXIT_CONFIG
+    assert "arl0_target must be finite" in capsys.readouterr().err
 
 
 def test_unknown_method_is_config_error(workdir, capsys):

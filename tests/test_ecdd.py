@@ -29,8 +29,9 @@ def test_init_validation():
         ecdd_init(0.1, 0.0, 2.0)
     with pytest.raises(ConfigError):
         ecdd_init(0.1, 0.2, -1.0)
-    with pytest.raises(ConfigError):
-        ecdd_init(0.1, 0.2, 2.0, prior_weight=-5.0)
+    for prior_weight in (-5.0, np.nan, np.inf):  # an infinite weight made p NaN
+        with pytest.raises(ConfigError, match="prior_weight"):
+            ecdd_init(0.1, 0.2, 2.0, prior_weight=prior_weight)
 
 
 def test_update_recursion_and_sigma():

@@ -9,7 +9,7 @@ from driftmon import (ConfigError, InputError, QtEwmaDetector, ThresholdTable, b
                       calibrate_ecdd_limit)
 from driftmon import calibration
 from driftmon.calibration import _ecdd_records, _mean_detection_curve
-from driftmon.ecdd import ECDD_BLOCK, ecdd_init, ecdd_update
+from driftmon.ecdd import ecdd_blocks, ecdd_init, ecdd_update
 from driftmon.engine import batch_first_exceed, ecdd_first_exceed
 from driftmon.qt_ewma import ewma_step
 from driftmon.seeding import rng_from
@@ -127,8 +127,8 @@ def test_ecdd_limit_calibration_first_exceed_matches_batch():
     # at every limit, a midpoint between two record values included
     rng = rng_from(8)
     errors = (rng.random((30, 400)) < 0.15).astype(np.uint8)
-    values, steps, charts = _ecdd_records([errors.T[:150], errors.T[150:]], 0.15, 100.0,
-                                          0.2)
+    values, steps, charts = _ecdd_records(ecdd_blocks(
+        30, 400, lambda t, steps: errors.T[t:t + steps], 0.15, 100.0, 0.2))
     levels, means = _mean_detection_curve(values, steps, charts, 30, 400)
     assert np.all(np.diff(levels) > 0) and np.all(np.diff(means) >= 0)
     fired_some = False
@@ -153,15 +153,19 @@ def test_ecdd_blocks_match_the_per_step_loop(monkeypatch, replicates, horizon, p
                                              prior_weight):
     # the records, the limit and t* are the doubles and steps that one
     # chart step per call gave, the reference drawing its errors in the
-    # blocks of 2^18 uniforms the calibration drew before
-    def chunks(block):
+    # blocks of 2^18 uniforms the calibration drew before: the uniforms
+    # of seed 21 in the order ecdd_blocks and calibrate_ecdd_limit draw them
+    def chunks():
         rng = rng_from(21)
+        block = max(1, (1 << 18) // replicates)
         return (rng.random((min(block, horizon - start), replicates)) < p0
                 for start in range(0, horizon, block))
 
-    got = _ecdd_records(chunks(max(1, ECDD_BLOCK // replicates)), p0, prior_weight, r)
-    expected = reference_ecdd_records(chunks(max(1, (1 << 18) // replicates)), p0,
-                                      prior_weight, r)
+    rng = rng_from(21)
+    got = _ecdd_records(ecdd_blocks(replicates, horizon,
+                                    lambda t, steps: rng.random((steps, replicates)) < p0,
+                                    p0, prior_weight, r))
+    expected = reference_ecdd_records(chunks(), p0, prior_weight, r)
     assert len(expected[0]) > 0
     for column, reference in zip(got, expected):
         assert column.dtype == reference.dtype and np.array_equal(column, reference)
@@ -171,7 +175,8 @@ def test_ecdd_blocks_match_the_per_step_loop(monkeypatch, replicates, horizon, p
                                     prior_weight=prior_weight, horizon=horizon)
 
     found = limit()
-    monkeypatch.setattr(calibration, "_ecdd_records", reference_ecdd_records)
+    monkeypatch.setattr(calibration, "_ecdd_records",
+                        lambda blocks: reference_ecdd_records(chunks(), p0, prior_weight, r))
     assert found == limit()
 
     rng = rng_from(22)
@@ -204,6 +209,9 @@ def test_ecdd_first_exceed_checks_its_inputs():
         assert ecdd_first_exceed(ok, [0.1, 0.2], 0.0, 0.2, 3.0).shape == (2,)
     assert ecdd_first_exceed(np.ones((2, 5), dtype=np.int64), 0.1, 100.0, 0.2, 0.0).tolist() \
         == [1, 1]
+    # no rows, or no steps: nothing fires
+    assert ecdd_first_exceed(errors[:0], 0.1, 100.0, 0.2, 0.0).shape == (0,)
+    assert ecdd_first_exceed(errors[:, :0], 0.1, 100.0, 0.2, 0.0).tolist() == [0, 0]
 
 
 def test_batch_first_exceed_statistic_order_of_operations(small_table):

@@ -103,18 +103,22 @@ def test_package_references_every_private_function():
     assert unreferenced_private_functions(package_sources()) == []
 
 
-ONE_LOOP = {"ewma_step", "fires"}  # QT-EWMA kernels that only ``qt_ewma`` may call
+# each detector module's kernels, which no other module may call: the
+# batch engine and calibration step a detector through its one loop
+ONE_LOOP = {"qt_ewma": {"ewma_step", "fires"},
+            "ecdd": {"_fold", "_rate", "_ramp", "ECDD_BLOCK"}}
 
 
 def one_loop_offenders(sources: dict[str, str]) -> list[str]:
-    """Modules other than ``qt_ewma`` that import, call or read a ``ONE_LOOP`` kernel."""
-    offenders = []
+    """Modules that import, call or read a ``ONE_LOOP`` kernel of another module."""
+    offenders = set()
     for name, source in sources.items():
         tree = ast.parse(source)
         imported = {alias.name for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom) for alias in node.names}
-        if name != "qt_ewma" and ONE_LOOP & (names_read([tree]) | imported):
-            offenders.append(name)
+        for owner, kernels in ONE_LOOP.items():
+            if name != owner and kernels & (names_read([tree]) | imported):
+                offenders.add(name)
     return sorted(offenders)
 
 
@@ -126,6 +130,16 @@ def test_detects_a_second_qt_ewma_loop():
     assert one_loop_offenders(sources) == ["calibration", "engine"]
 
 
+def test_detects_a_second_ecdd_loop():
+    sources = {"ecdd": "ECDD_BLOCK = 1\n\ndef _fold():\n    pass\n\n_fold()\n",
+               "engine": "from .ecdd import ECDD_BLOCK, ecdd_fires\n",
+               "calibration": "from . import ecdd\necdd._rate\n",
+               "bench": "from .ecdd import ecdd_blocks, ecdd_fires\necdd_blocks()\n",
+               "qt_ewma": "def _ramp():\n    pass\n"}
+    assert one_loop_offenders(sources) == ["calibration", "engine"]
+
+
 def test_only_qt_ewma_steps_the_recursion():
-    # calibration, replay and the batch engine step it through qt_ewma.lockstep
+    # calibration, replay and the batch engine step QT-EWMA through
+    # qt_ewma.lockstep, and ECDD through ecdd.ecdd_blocks
     assert one_loop_offenders(package_sources()) == []

@@ -129,6 +129,38 @@ def test_a_rejected_row_raises_at_its_own_row(method, fault, small_table):
 
 
 @pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("label", [2.7, 1.9, np.nan, np.inf])
+def test_a_label_that_is_not_an_integer_is_rejected_at_its_row(method, label, small_table):
+    # labeled row 12 is refused as class_labels refuses its label (it was
+    # cast: 2.7 ran as class 2, NaN raised numpy's ValueError); the y of an
+    # unlabeled row stays unread, NaN included
+    x, y, labeled = make_stream(method, 130, drift_at=10**6)
+    y = y.astype(float)
+    y[5], labeled[5] = np.nan, False
+    y[12], labeled[12] = label, True
+    rows = make_monitor(method, small_table, 4)
+    assert run_rows(rows, x[:12], y[:12], labeled[:12]) is None and rows.detection is None
+    for size in CHUNKS:
+        chunked = make_monitor(method, small_table, 4)
+        assert run_chunks(chunked, x, y, labeled, size) == (
+            InputError, "class labels must be integers"), size
+        assert state(chunked) == state(rows), size
+    one, fresh = make_monitor(method, small_table, 4), make_monitor(method, small_table, 4)
+    with pytest.raises(InputError, match="class labels must be integers"):
+        one.process(x[12], label)
+    assert state(one) == state(fresh)
+    if method in ("cdm", "qtewma"):  # lenient: skipped and counted as an unseen label
+        unseen = y.copy()
+        unseen[12] = 7
+        expected = make_monitor(method, small_table, 4, lenient=True)
+        assert run_chunks(expected, x, unseen, labeled, None) is None
+        for size in CHUNKS:
+            chunked = make_monitor(method, small_table, 4, lenient=True)
+            assert run_chunks(chunked, x, y, labeled, size) is None, size
+            assert state(chunked) == state(expected), size
+
+
+@pytest.mark.parametrize("method", METHODS)
 def test_rows_after_a_detection_are_not_rejected(method, small_table):
     x, y, labeled = make_stream(method, 140, drift_at=0)
     rows = make_monitor(method, small_table, 5)

@@ -169,6 +169,9 @@ def test_build_validation_errors():
         build_quanttree(training, 16, seed=1)  # N < K
     with pytest.raises(ConfigError):
         build_quanttree(training, 1, seed=1)  # fewer than 2 bins
+    with pytest.raises(ConfigError, match="n_bins must be an integer"):
+        build_quanttree(training, 4.0, seed=1)
+    assert build_quanttree(training, np.int64(4), seed=1) == build_quanttree(training, 4, seed=1)
     bad = training.copy()
     bad[0, 0] = np.nan
     with pytest.raises(InputError):

@@ -42,7 +42,7 @@ def test_construction_validation():
         make_table(n_bins=1, train_size=8)
     with pytest.raises(FormatError, match="train_size"):
         make_table(train_size=15)
-    for arl0 in (1.5, np.nan):
+    for arl0 in (1.5, np.nan, np.inf):
         with pytest.raises(FormatError, match="arl0_target"):
             make_table(arl0_target=arl0)
     with pytest.raises(FormatError):
