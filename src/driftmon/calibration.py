@@ -9,8 +9,9 @@ uniforms through the recursion. The histograms are built a chunk at a
 time from the training uniforms replayed in blocks, reading only the two
 order statistics around each edge, so their memory is bounded by the
 block and chunk x K, not by chunk x N. A step costs O(survivors): each draw
-finds its interval by a binary search over its replicate's sorted
-edges, and ``qt_ewma.lockstep``, the loop calibration, replay and the
+falls in one of K equal buckets of [0, 1), a per-replicate table counts
+the edges in lower buckets, and the draw is compared only with the edges
+in its own; ``qt_ewma.lockstep``, the loop calibration, replay and the
 batch engine share, touches one weight per survivor. The peeling
 quantile scheme then sets (h_t, gamma_t) so that the conditional
 probability of firing under the randomized rule (S_t > h_t, or S_t ==
@@ -40,6 +41,7 @@ DEFAULT_REPLICATES = 100_000
 SURVIVOR_FLOOR = 1000  # fewest replicates a quantile step may rest on
 TREE_CHUNK = 20_000  # histograms built per vectorized batch
 TREE_BLOCK = 1 << 20  # training uniforms sorted at a time when building them
+ECDD_MAX_CHART_STEPS = 10**9  # replicates x horizon an ECDD limit may step: 5000 x 20 x 1e4
 
 
 def _uniform_tree_batch(n_train: int, n_bins: int, n_rep: int,
@@ -89,48 +91,82 @@ def _uniform_tree_batch(n_train: int, n_bins: int, n_rep: int,
     return edges
 
 
-def _interval_index(edges: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``(u[:, None] > edges[rows]).sum(axis=1)``, in log2 of the row width gathers.
+def _bucket(x: np.ndarray, k: int) -> np.ndarray:
+    """floor(fl(x K)), monotone in x, for x in [0, 1) one of 0..K-1.
 
-    ``edges``: (replicates, 2^m - 1), each row sorted and padded above
-    every ``u``. A branchless binary search: the interval index only
-    grows, by 2^(m-1), ..., 2, 1 wherever ``u`` exceeds the edge there.
-    It makes a subset of the same comparisons ``u > edge``, so the result
-    is exact, draws on an edge included.
+    No clamp is needed: fl(x K) <= fl((1 - 2^-53) K) < K, since (1 - 2^-53) K
+    lies more than half an ulp below K (exactly K - ulp when K is 2^m).
     """
-    width = edges.shape[1]
+    return (x * k).astype(np.intp)
+
+
+def _bucket_starts(edges: np.ndarray, k: int) -> np.ndarray:
+    """``starts[r, g]``: the number of row r's edges e with ``_bucket(e, k) < g``.
+
+    ``edges``: (rows, K - 1), each row sorted. One ``bincount`` and one
+    ``cumsum``; the result takes the smallest unsigned dtype that holds K - 1.
+    """
+    n = len(edges)
+    cell = _bucket(edges, k)
+    # in place: a second (n, K - 1) temporary per chunk stayed resident in the
+    # heap through the peel (peak RSS 103 against 94 MB at 100k x 32)
+    cell += np.arange(0, n * k, k)[:, None]
+    counts = np.bincount(cell.reshape(-1), minlength=n * k).reshape(n, k)
+    starts = np.zeros((n, k), dtype=np.min_scalar_type(k - 1))
+    np.cumsum(counts[:, :-1], axis=1, out=starts[:, 1:])
+    return starts
+
+
+def _interval_index(edges: np.ndarray, starts: np.ndarray, rows: np.ndarray,
+                    u: np.ndarray) -> np.ndarray:
+    """``rows * K + (u[:, None] > edges[rows, :K - 1]).sum(axis=1)``, by bucket.
+
+    ``edges``: (replicates, K), each row's K - 1 sorted edges then a
+    sentinel above every ``u``; ``starts`` from ``_bucket_starts``. Edges in
+    a lower bucket than u lie below it and edges in a higher one above it,
+    so the count starts at ``starts[row, bucket(u)]`` and steps right while
+    u exceeds the edge there: the same comparisons ``u > edge``, so the
+    result is exact, draws on an edge and repeated edges included. Returns
+    flat indices into (replicates, K), as ``qt_ewma.lockstep`` takes them.
+    """
+    k = edges.shape[1]
     flat = edges.reshape(-1)
-    first = rows * width
-    pos = first.copy()
-    step = (width + 1) // 2
-    while step:
-        pos += (u > flat[pos + (step - 1)]) * step
-        step //= 2
-    return pos - first
+    pos = rows * k
+    pos += starts.reshape(-1).take(pos + _bucket(u, k))
+    moved = np.flatnonzero(u > flat.take(pos))
+    while moved.size:  # only the draws that passed an edge step on
+        step = pos.take(moved) + 1
+        pos[moved] = step
+        moved = moved[u.take(moved) > flat.take(step)]
+    return pos
 
 
 def _peel(train_size: int, n_bins: int, replicates: int, lam: float, horizon: int | None,
           rng: np.random.Generator, rule) -> tuple[np.ndarray, np.ndarray]:
     """Build the replicates' histograms, ``TREE_CHUNK`` at a time, then peel.
 
-    Each step of ``qt_ewma.lockstep`` streams fresh uniforms through the
-    survivors, ``rule(t, stat)`` gives (h_t, gamma_t), and those that fire
-    are removed; tie uniforms follow the step's sample draws. Peeling
+    ``edges`` (replicates, K) holds each replicate's K - 1 sorted edges and a
+    sentinel, ``starts`` its bucket table (``_bucket_starts``). Each step of
+    ``qt_ewma.lockstep`` streams fresh uniforms through the survivors,
+    ``_interval_index`` gives it the flat index of each hit weight,
+    ``rule(t, stat)`` gives (h_t, gamma_t), and those that fire are
+    removed; tie uniforms follow the step's sample draws. Peeling
     ends after ``horizon`` steps, or at the first step whose rule returns
     None (the only end when ``horizon`` is None). Returns (exceedances,
     at_risk) per completed step.
     """
-    edges = np.empty((replicates, (1 << (n_bins - 1).bit_length()) - 1))
+    edges = np.empty((replicates, n_bins))
+    edges[:, -1] = 2.0  # a sentinel above every uniform
+    starts = np.empty((replicates, n_bins), dtype=np.min_scalar_type(n_bins - 1))
     for start in range(0, replicates, TREE_CHUNK):
         stop = min(start + TREE_CHUNK, replicates)
-        edges[start:stop, :n_bins - 1] = _uniform_tree_batch(train_size, n_bins,
-                                                             stop - start, rng)
-        edges[start:stop, n_bins - 1:] = 2.0  # padding above every uniform
+        edges[start:stop, :-1] = _uniform_tree_batch(train_size, n_bins, stop - start, rng)
+        starts[start:stop] = _bucket_starts(edges[start:stop, :-1], n_bins)
     steps = itertools.count(1) if horizon is None else range(1, horizon + 1)
     exceed, at_risk = [], []
     for _, rows, fire in lockstep(
             replicates, n_bins, lam, steps,
-            lambda t, rows: _interval_index(edges, rows, rng.random(rows.size)),
+            lambda t, rows: _interval_index(edges, starts, rows, rng.random(rows.size)),
             rule, lambda t, tied: rng.random(tied.size)):
         at_risk.append(rows.size)
         exceed.append(int(fire.sum()))
@@ -221,10 +257,11 @@ def replay_exceedance(table: ThresholdTable, replicates: int, seed: int,
     replicate fires when S_t > h_t, or when S_t == h_t and a uniform drawn
     from this replay's own generator falls below gamma_t.
     exceedances/at_risk estimates the conditional exceedance probability,
-    which calibration targets at alpha.
+    which calibration targets at alpha. ``horizon`` defaults to the
+    table's length; one that is not an integer >= 1 raises ConfigError.
     """
     replicates = check_count(replicates, "replicates")
-    horizon = table.t_max if horizon is None else horizon
+    horizon = table.t_max if horizon is None else check_count(horizon, "horizon")
     return _peel(table.train_size, table.n_bins, replicates, table.lam, horizon,
                  rng_from(seed), lambda t, stat: table.at(t))
 
@@ -280,7 +317,9 @@ def calibrate_ecdd_limit(p0: float, r: float, arl0_target: float,
     on the step function D(L), the mean detection time with runs that never
     fire counted at the horizon. L lies midway to the next record value, so
     rounding in ``u > p + L sigma`` moves no detection; L = 0 (the chart
-    fires at the first error) when that already meets the target.
+    fires at the first error) when that already meets the target. More
+    than ``ECDD_MAX_CHART_STEPS`` chart steps (replicates x horizon) are
+    refused with ConfigError before any draw.
     """
     if not 0.0 < p0 < 1.0:
         raise ConfigError(f"p0 must be in (0, 1), got {p0}")
@@ -288,6 +327,10 @@ def calibrate_ecdd_limit(p0: float, r: float, arl0_target: float,
     check_arl0(arl0_target)
     replicates = check_count(replicates, "replicates")
     horizon = check_count(int(20 * arl0_target) if horizon is None else horizon, "horizon")
+    if replicates * horizon > ECDD_MAX_CHART_STEPS:
+        raise ConfigError(f"{replicates} replicates x horizon {horizon} exceed the "
+                          f"{ECDD_MAX_CHART_STEPS:.0e} chart steps an ECDD limit may take; "
+                          f"lower the target, the replicates or the horizon")
 
     rng = rng_from(seed)
     blocks = ecdd_blocks(replicates, horizon,

@@ -49,7 +49,8 @@ def batch_first_exceed(bins: np.ndarray, lengths: np.ndarray, table: ThresholdTa
         raise InputError(f"bin indices must lie in 0..{k - 1}, got {bins.min()}..{bins.max()}")
     out = np.zeros(n_rows, dtype=np.int64)
     for t, rows, fire in lockstep(
-            n_rows, k, table.lam, range(1, t_pad + 1), lambda t, rows: bins[rows, t - 1],
+            n_rows, k, table.lam, range(1, t_pad + 1),
+            lambda t, rows: rows * k + bins[rows, t - 1],
             lambda t, stat: table.at(t),
             lambda t, tied: np.array([tie_uniform(seeds[i], t) for i in tied])):
         out[rows[fire]] = t

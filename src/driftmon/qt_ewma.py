@@ -69,11 +69,12 @@ def fires(stat: np.ndarray, h: float, gamma: float, tie_uniforms) -> np.ndarray:
     return fire
 
 
-def lockstep(n_rows: int, k: int, lam: float, steps, next_bins, rule, tie_uniforms):
+def lockstep(n_rows: int, k: int, lam: float, steps, hit_index, rule, tie_uniforms):
     """Step ``n_rows`` detectors of K bins together; yield (t, rows, fire) per step.
 
-    At each t of ``steps``, ``next_bins(t, rows)`` bins the rows at risk,
-    ``ewma_step`` advances them, ``rule(t, stat)`` gives (h_t, gamma_t), or
+    At each t of ``steps``, ``hit_index(t, rows)`` gives the rows at risk
+    their hit bins as flat indices into the (n_rows, K) weights, row * K +
+    bin, ``ewma_step`` advances them, ``rule(t, stat)`` gives (h_t, gamma_t), or
     None to stop, and ``fires`` decides, drawing ``tie_uniforms(t, tied_rows)``
     only on a tie. Rows that fire leave ``rows`` after the yield; only the
     rows' index and S are compacted, never the (n_rows, K) weights, so a
@@ -82,7 +83,7 @@ def lockstep(n_rows: int, k: int, lam: float, steps, next_bins, rule, tie_unifor
     w = np.full((n_rows, k), 1.0 / k)  # row i's weights; never compacted
     scale, stat, rows = 1.0, np.zeros(n_rows), np.arange(n_rows)
     for t in steps:
-        stat, scale = ewma_step(w, scale, stat, rows * k + next_bins(t, rows), lam)
+        stat, scale = ewma_step(w, scale, stat, hit_index(t, rows), lam)
         step_rule = rule(t, stat)
         if step_rule is None:
             return

@@ -21,7 +21,14 @@ from driftmon import (
     replay_exceedance,
 )
 from driftmon import calibration
-from driftmon.calibration import SURVIVOR_FLOOR, _interval_index, _uniform_tree_batch
+from driftmon.calibration import (
+    ECDD_MAX_CHART_STEPS,
+    SURVIVOR_FLOOR,
+    _bucket,
+    _bucket_starts,
+    _interval_index,
+    _uniform_tree_batch,
+)
 from driftmon.engine import ecdd_first_exceed
 from driftmon.seeding import rng_from
 
@@ -248,23 +255,83 @@ def test_uniform_tree_batch_memory_is_bounded_by_the_block():
     assert peak < 24 * 2**20
 
 
+def _compare_sum(edges, starts, rows, u):
+    """The oracle: flat index row * K + the number of the row's edges below u."""
+    k = edges.shape[1]
+    return rows * k + (u[:, None] > edges[rows, :k - 1]).sum(axis=1)
+
+
 def test_interval_index_matches_the_compare_sum():
-    # the binary search over edges padded to 2^m - 1 counts exactly the
-    # edges below each draw, draws placed on an edge and repeated edges
-    # included, for the survivors' rows in any order
+    # the bucketed lookup counts exactly the edges below each draw, for the
+    # survivors' rows in any order: draws on an edge, repeated edges, edges
+    # and draws on a bucket boundary g/K and one ulp below it, and the
+    # largest double below 1, which falls in the last bucket whether K is a
+    # power of two or not (K = 257 takes uint16 starts)
     rng = rng_from(30)
-    for k in (2, 3, 16, 32, 33, 49):
+    top = 1.0 - 2.0**-53
+    for k in (2, 3, 16, 32, 33, 49, 257):
+        assert _bucket(np.array([top]), k)[0] == k - 1
         edges = (_uniform_tree_batch(64, k, 400, rng) if k == 16
                  else np.sort(rng.random((400, k - 1)), axis=1))
         edges[::7, k // 2:] = edges[::7, k // 2 - 1:k // 2]  # repeated edges
-        padded = np.full((400, (1 << (k - 1).bit_length()) - 1), 2.0)
-        padded[:, :k - 1] = edges
-        rows = rng.permutation(400)[:300]
-        u = rng.random(300)
-        on_edge = rng.random(300) < 0.3
+        bounds = np.arange(1, k) / k
+        below = np.nextafter(bounds, 0.0)
+        for r in range(3, 400, 11):  # repeated edges on both sides of a boundary
+            g = rng.integers(k - 1)
+            edges[r, :] = np.sort(np.concatenate(
+                [[below[g], below[g], bounds[g], bounds[g]], edges[r, :k - 5]])[:k - 1])
+        edges[5::13] = np.sort(np.where(rng.random((len(edges[5::13]), k - 1)) < 0.5,
+                                        bounds, below), axis=1)  # every edge on a boundary
+        edges[2, -1] = top
+        full = np.full((400, k), 2.0)
+        full[:, :-1] = edges
+        starts = _bucket_starts(edges, k)
+        assert starts.dtype == (np.uint8 if k <= 256 else np.uint16)
+        rows = np.concatenate((rng.permutation(400)[:300], [2, 399, 5]))
+        u = rng.random(rows.size)
+        on_edge = rng.random(rows.size) < 0.3
         u[on_edge] = edges[rows[on_edge], rng.integers(k - 1, size=int(on_edge.sum()))]
-        expected = (u[:, None] > edges[rows]).sum(axis=1)
-        assert np.array_equal(_interval_index(padded, rows, u), expected)
+        pick = rng.integers(k - 1, size=rows.size)
+        u[::5] = bounds[pick[::5]]
+        u[1::5] = below[pick[1::5]]
+        u[-3:] = top
+        assert np.array_equal(_interval_index(full, starts, rows, u),
+                              _compare_sum(full, starts, rows, u))
+
+
+def test_tables_and_replay_match_the_compare_sum_lookup(monkeypatch):
+    # a table and a replay stay bit for bit the same with the lookup
+    # replaced by the plain compare sum
+    def run():
+        table = calibrate_thresholds(64, 33, 0.05, 100.0, t_max=120, replicates=10_000,
+                                     seed=4)
+        return table, replay_exceedance(table, 5000, seed=8, horizon=200)
+
+    table, replay = run()
+    monkeypatch.setattr(calibration, "_interval_index", _compare_sum)
+    oracle_table, oracle_replay = run()
+    assert table.thresholds.tobytes() == oracle_table.thresholds.tobytes()
+    assert table.gamma.tobytes() == oracle_table.gamma.tobytes()
+    for got, expected in zip(replay, oracle_replay):
+        assert np.array_equal(got, expected)
+
+
+def test_calibration_memory_stays_bounded_at_production_size():
+    # 100k replicates at K = 32: the edges, the uint8 bucket starts and the
+    # weights, plus one TREE_CHUNK of tree-building temporaries
+    tracemalloc.start()
+    try:
+        calibrate_thresholds(512, 32, 0.03, 375.0, t_max=170, replicates=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("horizon", [0, -3, 2.5, True])
+def test_replay_refuses_a_horizon_that_is_not_a_count(small_table, horizon):
+    with pytest.raises(ConfigError, match="horizon"):
+        replay_exceedance(small_table, 100, seed=1, horizon=horizon)
 
 
 def test_ecdd_limit_monotone_in_target():
@@ -295,6 +362,19 @@ def test_ecdd_limit_memory_does_not_grow_with_the_horizon():
         finally:
             tracemalloc.stop()
     assert max(peaks) < 12 * 2**20
+
+
+def test_ecdd_limit_refuses_more_chart_steps_than_its_bound(monkeypatch):
+    # 1e300 asked for 200 x 2e301 chart steps and never returned; the bound
+    # is checked before any draw, and admits the default 5000 replicates at
+    # ARL0 1e4 (20 x 1e4 steps each)
+    assert 5000 * int(20 * 1e4) <= ECDD_MAX_CHART_STEPS
+    monkeypatch.setattr(calibration, "rng_from", None)  # any draw would fail
+    for kwargs in (dict(arl0_target=1e300, replicates=200),
+                   dict(arl0_target=100.0, replicates=1000,
+                        horizon=ECDD_MAX_CHART_STEPS // 1000 + 1)):
+        with pytest.raises(ConfigError, match="chart steps"):
+            calibrate_ecdd_limit(0.1, 0.2, **kwargs)
 
 
 def test_ecdd_limit_parameter_errors():

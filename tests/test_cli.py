@@ -161,6 +161,14 @@ def test_monitor_ecdd_refuses_a_nan_target(workdir, capsys):
     assert "arl0_target must be finite" in capsys.readouterr().err
 
 
+def test_monitor_ecdd_refuses_a_target_beyond_the_chart_step_bound(workdir, capsys):
+    # the default horizon of 20 x ARL0 steps made 1e300 run without end
+    code = main(["monitor", "--method", "ecdd", "--train", str(workdir["train"]),
+                 "--stream", str(workdir["stream"]), "--arl0", "1e300"])
+    assert code == EXIT_CONFIG == 1
+    assert "chart steps" in capsys.readouterr().err
+
+
 def test_unknown_method_is_config_error(workdir, capsys):
     code = main(["monitor", "--method", "nope", "--train", str(workdir["train"]),
                  "--stream", str(workdir["stream"])])
