@@ -192,9 +192,10 @@ def calibrate_thresholds(train_size: int, n_bins: int, lam: float, arl0_target: 
     one with probability gamma_t. Beyond t_max the last entries are
     reused.
 
-    Without ``t_max`` the table holds every step calibrated on at least
-    ``SURVIVOR_FLOOR`` replicates, about ln(replicates / SURVIVOR_FLOOR)
-    * arl0_target steps. Past its end a table holds its last entries
+    Every step rests on at least max(``SURVIVOR_FLOOR``, arl0_target)
+    replicates, so that alpha * n_t >= 1. Without ``t_max`` the table
+    holds every step that does, about ln(replicates / that floor) *
+    arl0_target steps. Past its end a table holds its last entries
     while the hazard keeps falling below alpha (the survivors are the
     slow-firing replicates), so a shorter table overshoots the target
     ARL0. ``t_max`` caps the length: the capped table equals the first
@@ -215,16 +216,17 @@ def calibrate_thresholds(train_size: int, n_bins: int, lam: float, arl0_target: 
     train_size = check_count(train_size, "train_size", n_bins)
 
     alpha = 1.0 / arl0_target
+    floor = max(SURVIVOR_FLOOR, arl0_target)  # alpha * n_t >= 1 at every step
     h, gamma = [], []
 
     def quantile_rule(t: int, stat: np.ndarray) -> tuple[float, float] | None:
         n_alive = stat.size
-        if n_alive < SURVIVOR_FLOOR:
+        if n_alive < floor:
             if t_max is None and t > needed:
                 return None  # steps 1..t-1 make the table
             raise CalibrationError(
-                f"only {n_alive} surviving replicates at step {t} of the {needed} "
-                f"the table needs; increase replicates"
+                f"only {n_alive} surviving replicates, fewer than {floor:g}, at step {t} "
+                f"of the {needed} the table needs; increase replicates"
             )
         rank = int(np.ceil((1.0 - alpha) * n_alive)) - 1
         h_t = float(np.partition(stat, rank)[rank])
@@ -319,18 +321,23 @@ def calibrate_ecdd_limit(p0: float, r: float, arl0_target: float,
     rounding in ``u > p + L sigma`` moves no detection; L = 0 (the chart
     fires at the first error) when that already meets the target. More
     than ``ECDD_MAX_CHART_STEPS`` chart steps (replicates x horizon) are
-    refused with ConfigError before any draw.
+    refused with ConfigError before any draw; under the default horizon of
+    20 x the target, the error names the largest target that fits.
     """
     if not 0.0 < p0 < 1.0:
         raise ConfigError(f"p0 must be in (0, 1), got {p0}")
     check_chart(p0, r, 0.0, prior_weight)
     check_arl0(arl0_target)
     replicates = check_count(replicates, "replicates")
-    horizon = check_count(int(20 * arl0_target) if horizon is None else horizon, "horizon")
+    default = horizon is None  # 20 x the target
+    horizon = check_count(int(20 * arl0_target) if default else horizon, "horizon")
     if replicates * horizon > ECDD_MAX_CHART_STEPS:
+        fix = (f"at {replicates} replicates the largest target that fits is "
+               f"{ECDD_MAX_CHART_STEPS // (20 * replicates)}; lower the target or the replicates"
+               if default else "lower the replicates or the horizon")
         raise ConfigError(f"{replicates} replicates x horizon {horizon} exceed the "
                           f"{ECDD_MAX_CHART_STEPS:.0e} chart steps an ECDD limit may take; "
-                          f"lower the target, the replicates or the horizon")
+                          f"{fix}")
 
     rng = rng_from(seed)
     blocks = ecdd_blocks(replicates, horizon,

@@ -8,6 +8,7 @@ crosses its threshold, which also attributes the drift to that class.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,25 +26,49 @@ class Detection:
     m_star: Optional[int]  # class whose detector fired; None if the method cannot tell
 
 
-class CdmMonitor:
-    """Sequential monitor over M per-class detectors."""
+class Monitor:
+    """What ``CdmMonitor`` and ``ecdd.EcddMonitor`` share: global time, the
+    detection (at a global stream position) and the per-row calls. A subclass
+    defines ``process_batch(x, y, labeled)`` and adds its fields to ``report``.
+    """
 
-    def __init__(self, detectors: dict[int, QtEwmaDetector], lenient_labels: bool = False):
-        if not detectors:
-            raise ConfigError("monitor needs at least one per-class detector")
-        self.detectors = detectors
-        self.lenient_labels = lenient_labels
+    def __init__(self):
         self.global_t = 0
         self.detection: Optional[Detection] = None
-        self.skipped_unknown = 0
 
     def process(self, x, y: int) -> Optional[Detection]:
-        """Route one labeled sample to its class detector: a one-row batch.
+        """Process one labeled sample: a one-row ``process_batch``.
 
         Returns the detection once it happens (idempotently afterwards),
         None while monitoring continues. A rejected sample changes nothing.
         """
         return self.process_batch(np.asarray(x, dtype=float).reshape(1, -1), [y], [True])
+
+    def process_unlabeled(self, x) -> Optional[Detection]:
+        """Unlabeled samples advance global time but touch no detector."""
+        if self.detection is None:
+            self.global_t += 1
+        return self.detection
+
+    def report(self) -> dict:
+        det = self.detection
+        return {
+            "detected": det is not None,
+            "t_star": det.t_star if det else None,
+            "m_star": det.m_star if det else None,
+        }
+
+
+class CdmMonitor(Monitor):
+    """Sequential monitor over M per-class detectors."""
+
+    def __init__(self, detectors: dict[int, QtEwmaDetector], lenient_labels: bool = False):
+        if not detectors:
+            raise ConfigError("monitor needs at least one per-class detector")
+        super().__init__()
+        self.detectors = detectors
+        self.lenient_labels = lenient_labels
+        self.skipped_unknown = 0
 
     def process_batch(self, x, y, labeled) -> Optional[Detection]:
         """Process rows as ``process``/``process_unlabeled`` would, one by one.
@@ -94,18 +119,9 @@ class CdmMonitor:
             self.detectors[label].update(x[stop])  # raises before any state moves
         return self.detection
 
-    def process_unlabeled(self, x) -> Optional[Detection]:
-        """Unlabeled samples advance global time but touch no detector."""
-        if self.detection is None:
-            self.global_t += 1
-        return self.detection
-
     def report(self) -> dict:
-        det = self.detection
         return {
-            "detected": det is not None,
-            "t_star": det.t_star if det else None,
-            "m_star": det.m_star if det else None,
+            **super().report(),
             "global_t": self.global_t,
             "class_counts": {m: d.t for m, d in self.detectors.items()},
             "statistics": {m: d.last_statistic for m, d in self.detectors.items()},
@@ -176,43 +192,35 @@ def fit_cdm(train_x, train_y, thresholds: ThresholdTable, n_bins: int | None = N
     return CdmMonitor(detectors, lenient_labels=lenient_labels)
 
 
-CHUNK_ROWS = 128  # rows that run_labeled_stream hands to one process_batch call
+CHUNK_ROWS = 128  # rows that run_labeled_stream reads a pass
 
 
-def run_labeled_stream(monitor, stream) -> Optional[Detection]:
-    """Feed (x, y) pairs (y None = unlabeled) until detection or exhaustion.
+def run_labeled_stream(monitor: Monitor, stream) -> Optional[Detection]:
+    """Feed (x, y) pairs (y None = unlabeled) to a ``Monitor`` until detection
+    or exhaustion; the one loop over a labeled stream, for the CLI and the bench.
 
-    ``monitor`` is a ``CdmMonitor`` or an ``ecdd.EcddMonitor``; this is the
-    one loop over a labeled stream, for the CLI and the bench alike. Rows
-    go to ``monitor.process_batch`` in chunks of up to ``CHUNK_ROWS`` rows
-    of one width, which leaves the monitor as per-row calls would, so the
-    stream may be read up to one chunk past the detection. An exception
-    from the stream itself (a malformed CSV row) is raised after the rows
+    Each pass reads up to ``CHUNK_ROWS`` rows and hands each run of rows of
+    one width to ``monitor.process_batch``, which leaves the monitor as
+    per-row calls would, so the stream may be read up to one chunk past the
+    detection. An exception from the stream itself (a malformed CSV row, a
+    row that is not a pair of floats and a label) is raised after the rows
     read before it are processed, and only if they did not detect.
     """
     rows = iter(stream)
-    carry: list = []
     while monitor.detection is None:
-        chunk, carry, failure, exhausted = carry, [], None, False
+        chunk, failure = [], None
         try:
-            for x, y in rows:
-                x = np.asarray(x, dtype=float).ravel()
-                if chunk and x.size != chunk[0][0].size:
-                    carry = [(x, y)]
-                    break
-                chunk.append((x, y))
-                if len(chunk) == CHUNK_ROWS:
-                    break
-            else:
-                exhausted = True
+            for x, y in itertools.islice(rows, CHUNK_ROWS):
+                chunk.append((np.asarray(x, dtype=float).ravel(), y))
         except Exception as exc:  # raised below unless the rows before it detect
             failure = exc
-        if chunk:
-            monitor.process_batch(np.stack([x for x, _ in chunk]),
-                                  [0 if y is None else y for _, y in chunk],
-                                  [y is not None for _, y in chunk])
+        for _, run in itertools.groupby(chunk, key=lambda row: row[0].size):
+            xs, ys = zip(*run)
+            if monitor.process_batch(np.stack(xs), [0 if y is None else y for y in ys],
+                                     [y is not None for y in ys]) is not None:
+                break
         if failure is not None and monitor.detection is None:
             raise failure
-        if exhausted:
+        if len(chunk) < CHUNK_ROWS:
             break
     return monitor.detection

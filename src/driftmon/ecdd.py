@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cdm import Detection, class_labels, integer_labels
+from .cdm import Detection, Monitor, class_labels, integer_labels
 from .errors import ConfigError, InputError, NumericError
 from .seeding import rng_from
 
@@ -350,27 +350,16 @@ def cross_val_error(kind: str, x, y, seed: int = 0, k: int = DEFAULT_KNN_K) -> f
     return errors / len(y)
 
 
-class EcddMonitor:
-    """The chart over a fixed classifier, fed a stream in chunks or by sample.
+class EcddMonitor(Monitor):
+    """The chart over a fixed classifier, a ``cdm.Monitor``.
 
-    It keeps the monitor interface of ``cdm.CdmMonitor``: ``process``,
-    ``process_unlabeled`` and ``report``, with detection times in global
-    stream position. Unlabeled samples advance global time only. The
-    chart cannot attribute a class, so ``m_star`` is always None.
+    The chart cannot attribute a class, so ``m_star`` is always None.
     """
 
     def __init__(self, classifier, state: EcddState):
+        super().__init__()
         self.classifier = classifier
         self.state = state
-        self.global_t = 0
-        self.detection: Optional[Detection] = None
-
-    def process(self, x, y: int) -> Optional[Detection]:
-        """Classify one labeled sample and fold its error into the chart.
-
-        A one-row ``process_batch``: a rejected sample changes nothing.
-        """
-        return self.process_batch(np.asarray(x, dtype=float).reshape(1, -1), [y], [True])
 
     def process_batch(self, x, y, labeled) -> Optional[Detection]:
         """Process rows as ``process``/``process_unlabeled`` would, one by one.
@@ -411,17 +400,5 @@ class EcddMonitor:
             raise InputError("features contain non-finite values")
         return self.detection
 
-    def process_unlabeled(self, x) -> Optional[Detection]:
-        if self.detection is None:
-            self.global_t += 1
-        return self.detection
-
     def report(self) -> dict:
-        det = self.detection
-        return {
-            "detected": det is not None,
-            "t_star": det.t_star if det else None,
-            "m_star": None,
-            "n_labeled": self.state.n_seen,
-            "statistic": self.state.u,
-        }
+        return {**super().report(), "n_labeled": self.state.n_seen, "statistic": self.state.u}

@@ -112,6 +112,18 @@ def test_survivor_floor_raises():
         calibrate_thresholds(64, 16, 0.03, 5.0, replicates=10_000)
 
 
+def test_every_step_rests_on_arl0_target_survivors():
+    # alpha * n_t >= 1 at every step: at ARL0 9000 the floor is 9000, not
+    # SURVIVOR_FLOOR. Without it the table ran 20 332 steps (2.4 s), most of
+    # them on fewer survivors than one firing a step needs
+    table = calibrate_thresholds(64, 8, 0.03, 9000.0, replicates=10_000, seed=1)
+    assert table.t_max == 943
+    _, at_risk = replay_exceedance(table, table.replicates, table.seed, horizon=944)
+    assert at_risk[-2] >= 9000 > at_risk[-1]
+    with pytest.raises(CalibrationError, match="fewer than 9000, at step 944 "):
+        calibrate_thresholds(64, 8, 0.03, 9000.0, t_max=2000, replicates=10_000, seed=1)
+
+
 def test_default_table_ends_at_the_survivor_floor():
     table = calibrate_thresholds(40, 8, 0.1, 50.0, replicates=10_000, seed=3)
     # the replay repeats calibration's draws, so it shows who was at risk
@@ -375,6 +387,21 @@ def test_ecdd_limit_refuses_more_chart_steps_than_its_bound(monkeypatch):
                         horizon=ECDD_MAX_CHART_STEPS // 1000 + 1)):
         with pytest.raises(ConfigError, match="chart steps"):
             calibrate_ecdd_limit(0.1, 0.2, **kwargs)
+
+
+def test_ecdd_limit_refusal_names_the_largest_target_that_fits(monkeypatch):
+    # under the default horizon of 20 x the target; an explicit horizon
+    # does not depend on the target, so no target is named
+    monkeypatch.setattr(calibration, "rng_from", None)  # any draw would fail
+    assert ECDD_MAX_CHART_STEPS // (20 * 5000) == 10_000
+    with pytest.raises(ConfigError, match="chart steps.*largest target that fits is 10000;"):
+        calibrate_ecdd_limit(0.1, 0.2, 20_000.0)
+    with pytest.raises(ConfigError, match="largest target that fits is 250000;"):
+        calibrate_ecdd_limit(0.1, 0.2, 250_001.0, replicates=200)
+    with pytest.raises(ConfigError, match="chart steps") as refused:
+        calibrate_ecdd_limit(0.1, 0.2, 100.0, replicates=1000,
+                             horizon=ECDD_MAX_CHART_STEPS // 1000 + 1)
+    assert "largest target" not in str(refused.value)
 
 
 def test_ecdd_limit_parameter_errors():

@@ -169,6 +169,16 @@ def test_monitor_ecdd_refuses_a_target_beyond_the_chart_step_bound(workdir, caps
     assert "chart steps" in capsys.readouterr().err
 
 
+def test_monitor_ecdd_refusal_names_the_largest_target_that_fits(workdir, capsys):
+    # the CLI calibrates at the library's 5000 replicates, so the user can
+    # act only on the target: 20000 is refused, and 10000 is named
+    code = main(["monitor", "--method", "ecdd", "--train", str(workdir["train"]),
+                 "--stream", str(workdir["stream"]), "--arl0", "20000"])
+    assert code == EXIT_CONFIG == 1
+    err = capsys.readouterr().err
+    assert "chart steps" in err and "largest target that fits is 10000;" in err
+
+
 def test_unknown_method_is_config_error(workdir, capsys):
     code = main(["monitor", "--method", "nope", "--train", str(workdir["train"]),
                  "--stream", str(workdir["stream"])])

@@ -11,6 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from driftmon.cdm import CdmMonitor, Monitor
+from driftmon.ecdd import EcddMonitor
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "driftmon"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -143,3 +146,44 @@ def test_only_qt_ewma_steps_the_recursion():
     # calibration, replay and the batch engine step QT-EWMA through
     # qt_ewma.lockstep, and ECDD through ecdd.ecdd_blocks
     assert one_loop_offenders(package_sources()) == []
+
+
+# the per-row calls of a monitor: every monitor derives them from its own
+# process_batch through cdm.Monitor, the only class that defines them
+ONE_MONITOR = {"process", "process_unlabeled"}
+
+
+def monitor_interface_offenders(sources: dict[str, str]) -> list[str]:
+    """Classes other than ``cdm.Monitor`` that define a ``ONE_MONITOR`` name,
+    as a method or a class attribute."""
+    offenders = []
+    for name, source in sources.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef) or (name, cls.name) == ("cdm", "Monitor"):
+                continue
+            defined = {node.name for node in cls.body
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+            defined |= {target.id for node in cls.body if isinstance(node, ast.Assign)
+                        for target in node.targets if isinstance(target, ast.Name)}
+            if defined & ONE_MONITOR:
+                offenders.append(f"{name}.{cls.name}")
+    return sorted(offenders)
+
+
+def test_detects_a_second_monitor_interface():
+    sources = {"cdm": "class Monitor:\n    def process(self):\n        pass\n\n"
+                      "    def process_unlabeled(self):\n        pass\n\n\n"
+                      "class CdmMonitor(Monitor):\n    def process_batch(self):\n"
+                      "        pass\n",
+               "ecdd": "class EcddMonitor:\n    def process_unlabeled(self):\n        pass\n\n\n"
+                       "class Alias:\n    process = print\n",
+               "bench": "class Monitor:\n    async def process(self):\n        pass\n"}
+    assert monitor_interface_offenders(sources) == [
+        "bench.Monitor", "ecdd.Alias", "ecdd.EcddMonitor"]
+
+
+def test_only_cdm_monitor_defines_the_per_row_calls():
+    assert monitor_interface_offenders(package_sources()) == []
+    for name in ONE_MONITOR:  # and both monitors inherit them
+        assert name in vars(Monitor)
+        assert getattr(CdmMonitor, name) is getattr(EcddMonitor, name) is vars(Monitor)[name]

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from conftest import reference_process
 
-from driftmon import (CdmMonitor, EcddMonitor, InputError, ecdd_init, fit_cdm, fit_classifier,
-                      run_labeled_stream)
+from driftmon import (CdmMonitor, EcddMonitor, InputError, calibrate_thresholds, ecdd_init,
+                      fit_cdm, fit_classifier, run_labeled_stream)
+from driftmon.cdm import CHUNK_ROWS
 from driftmon.seeding import rng_from
 
 CHUNKS = [1, 7, 64, None]  # None: the whole stream in one call
@@ -231,3 +232,107 @@ def test_run_labeled_stream_starts_a_chunk_at_a_width_change(small_table):
     with pytest.raises(InputError, match="expected a vector of length 2"):
         run_labeled_stream(monitor, pairs)
     assert monitor.global_t == 6
+
+
+@pytest.fixture(scope="module")
+def quiet_table():
+    """A K=16, N=64 table at ARL0 1000: the undrifted 300-row streams below
+    reach the rows under test with no false alarm (checked in each test)."""
+    return calibrate_thresholds(64, 16, 0.03, 1000.0, t_max=170, replicates=10_000, seed=7)
+
+
+def by_rows(method, table, seed, pairs):
+    """A monitor fed ``pairs`` one by one: ``reference_process`` or
+    ``process_unlabeled`` per row."""
+    monitor = make_monitor(method, table, seed)
+    for x, y in pairs:
+        if y is None:
+            monitor.process_unlabeled(x)
+        else:
+            reference_process(monitor, np.asarray(x, dtype=float), y)
+    return monitor
+
+
+def stream_pairs(method, length=300):
+    """(x, label) pairs of a stream with no drift; None marks an unlabeled row."""
+    x, y, labeled = make_stream(method, 180, length=length, drift_at=10**6)
+    return [(x[i], int(y[i]) if labeled[i] else None) for i in range(length)]
+
+
+@pytest.mark.parametrize("method", ["cdm", "knn"])
+def test_run_labeled_stream_splits_a_width_change_across_the_chunk_boundary(
+        method, quiet_table):
+    # unlabeled rows 127 and 128 are 3 wide: the last row of the first pass
+    # and the first of the second
+    pairs = stream_pairs(method)
+    assert CHUNK_ROWS == 128
+    pairs[127] = (np.zeros(3), None)
+    pairs[128] = (np.ones(3), None)
+    monitor = make_monitor(method, quiet_table, 9)
+    assert run_labeled_stream(monitor, pairs) is None
+    assert monitor.global_t == 300
+    assert state(monitor) == state(by_rows(method, quiet_table, 9, pairs))
+    pairs[128] = (np.ones(3), 1)  # labeled, it raises at its own row
+    monitor = make_monitor(method, quiet_table, 9)
+    with pytest.raises(InputError, match="got 3"):
+        run_labeled_stream(monitor, pairs)
+    assert monitor.global_t == 128
+    assert state(monitor) == state(by_rows(method, quiet_table, 9, pairs[:128]))
+
+
+@pytest.mark.parametrize("method", ["cdm", "knn"])
+@pytest.mark.parametrize("passes", [1, 2])
+def test_run_labeled_stream_on_whole_chunks(method, passes, quiet_table):
+    pairs = stream_pairs(method, length=passes * CHUNK_ROWS)
+    monitor = make_monitor(method, quiet_table, 9)
+    assert run_labeled_stream(monitor, iter(pairs)) is None
+    assert monitor.global_t == passes * CHUNK_ROWS
+    assert state(monitor) == state(by_rows(method, quiet_table, 9, pairs))
+
+
+def test_run_labeled_stream_passes_a_zero_width_unlabeled_row(quiet_table):
+    pairs = stream_pairs("cdm")
+    pairs[20] = (np.zeros(0), None)
+    monitor = make_monitor("cdm", quiet_table, 9)
+    assert run_labeled_stream(monitor, pairs) is None
+    assert state(monitor) == state(by_rows("cdm", quiet_table, 9, pairs))
+
+
+@pytest.mark.parametrize("method,message", [("cdm", "expected a vector of length 2, got 0"),
+                                            ("knn", "expected 2 features, got 0")])
+def test_run_labeled_stream_rejects_a_zero_width_labeled_row(method, message, quiet_table):
+    pairs = stream_pairs(method)
+    pairs[20] = (np.zeros(0), 1)
+    monitor = make_monitor(method, quiet_table, 9)
+    with pytest.raises(InputError, match=message):
+        run_labeled_stream(monitor, pairs)
+    assert monitor.global_t == 20
+    assert state(monitor) == state(by_rows(method, quiet_table, 9, pairs[:20]))
+
+
+@pytest.mark.parametrize("method", ["cdm", "knn"])
+@pytest.mark.parametrize("row,error", [(("abc", 1), "could not convert string to float"),
+                                       ((np.zeros(2), 1, 0), "too many values to unpack"),
+                                       ((np.zeros(2),), "not enough values to unpack")])
+def test_run_labeled_stream_defers_a_row_it_cannot_read(method, row, error, quiet_table):
+    # a row that is not floats, or not a pair, fails as a stream error does:
+    # after the 50 rows before it are processed
+    pairs = stream_pairs(method)
+    pairs[50] = row
+    monitor = make_monitor(method, quiet_table, 9)
+    with pytest.raises(ValueError, match=error):
+        run_labeled_stream(monitor, pairs)
+    assert monitor.global_t == 50
+    assert state(monitor) == state(by_rows(method, quiet_table, 9, pairs[:50]))
+
+
+@pytest.mark.parametrize("method", ["cdm", "knn"])
+def test_run_labeled_stream_processes_every_width_before_a_stream_error(method, quiet_table):
+    # the pass that reads the stream error holds three runs of one width
+    pairs = stream_pairs(method)[:CHUNK_ROWS + 100]
+    pairs[CHUNK_ROWS + 40] = (np.zeros(3), None)
+    monitor = make_monitor(method, quiet_table, 9)
+    with pytest.raises(InputError, match="row 999"):
+        run_labeled_stream(monitor, FailingRows(pairs))
+    assert monitor.global_t == len(pairs)
+    assert state(monitor) == state(by_rows(method, quiet_table, 9, pairs))
