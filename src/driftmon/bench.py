@@ -6,7 +6,10 @@ independent of execution order. Both engines start from the monitor
 ``_replicate`` fits: the default engine reads its histograms or
 classifier and steps all replicates' recursions in lockstep with numpy;
 the "sequential" engine feeds it one sample at a time, as the CLI does,
-and is used to validate the batch path.
+and is used to validate the batch path. Both read a replicate's stream
+(a ``StreamDraw``) a doubling prefix at a time, ``FIRST_ROWS`` rows and
+then twice as many each pass, and stop at its detection: the rows after
+it are never drawn, so ``post_length`` costs only the rows read.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import numpy as np
 
 from . import ecdd as ecdd_mod
 from .cdm import fit_cdm, run_labeled_stream
-from .datastreams import GaussianMixtureConfig, generate_stream, sample_training, skl_gaussian
+from .datastreams import (GaussianMixtureConfig, StreamDraw, generate_stream, sample_training,
+                          skl_gaussian)
 from .engine import batch_first_exceed, ecdd_first_exceed
 from .errors import ConfigError, DriftmonError
 from .quanttree import locate_bins
@@ -32,6 +36,7 @@ DEFAULT_POST_LENGTH = 7000  # stream rows after the change point in a delay run
 DEFAULT_DRIFT_CLASS = 2  # the class whose post-change mean a grid moves
 ERROR_SAMPLES = 200_000  # stream rows behind each error rate of a grid's contours
 ERROR_TRAIN_PER_CLASS = 4096  # training rows per class of the grid's contour LDA
+FIRST_ROWS = 256  # stream rows a replicate's first pass reads; each later pass doubles them
 
 
 @dataclass
@@ -111,15 +116,14 @@ def stationary(cfg: GaussianMixtureConfig) -> GaussianMixtureConfig:
 
 
 def _replicate(method, cfg: GaussianMixtureConfig, length: int, rep_seed: int):
-    """One replicate's fitted monitor, stream and monitored labels.
+    """One replicate's fitted monitor and the ``StreamDraw`` of its stream.
 
     Training draws at (rep_seed, 0), the fit at (rep_seed, 1) and the
-    stream at (rep_seed, 2). CDM and the pooled QT-EWMA (all labels 1) are
-    fitted by ``fit_cdm``; ECDD is an ``EcddMonitor`` whose chart starts
-    at the cross-validated error rate. Both engines start from here.
+    stream at (rep_seed, 2). CDM and the pooled QT-EWMA are fitted by
+    ``fit_cdm``; ECDD is an ``EcddMonitor`` whose chart starts at the
+    cross-validated error rate. Both engines start from here.
     """
     tx, ty = sample_training(cfg, method.train_per_class, derive_seed(rep_seed, 0))
-    pooled = isinstance(method, CdmMethod) and method.pooled
     if isinstance(method, EcddMethod):
         clf = ecdd_mod.fit_classifier(method.classifier, tx, ty, k=method.knn_k)
         p0 = ecdd_mod.cross_val_error(method.classifier, tx, ty,
@@ -127,50 +131,107 @@ def _replicate(method, cfg: GaussianMixtureConfig, length: int, rep_seed: int):
         monitor = ecdd_mod.EcddMonitor(
             clf, ecdd_mod.ecdd_init(p0, method.r, method.limit, method.prior_weight))
     else:
-        monitor = fit_cdm(tx, np.ones_like(ty) if pooled else ty, method.table,
+        monitor = fit_cdm(tx, _monitored(method, ty), method.table,
                           seed=derive_seed(rep_seed, 1))
-    stream = generate_stream(cfg, length, derive_seed(rep_seed, 2))
-    labels = np.ones(len(stream), dtype=np.int64) if pooled else stream.y
-    return monitor, stream, labels
+    return monitor, StreamDraw(cfg, length, derive_seed(rep_seed, 2))
+
+
+def _monitored(method, y: np.ndarray) -> np.ndarray:
+    """The labels ``method`` monitors: all 1 for the pooled QT-EWMA, else ``y``."""
+    return np.ones_like(y) if isinstance(method, CdmMethod) and method.pooled else y
+
+
+def _passes(length: int):
+    """(start, n) per pass over a stream of ``length`` rows: it reads rows start+1..n.
+
+    The first pass reads ``FIRST_ROWS`` rows and each later pass doubles
+    them, up to ``length``.
+    """
+    start, n = 0, min(FIRST_ROWS, length)
+    while start < length:
+        yield start, n
+        start, n = n, min(2 * n, length)
+
+
+def _run_passes(method, cfg: GaussianMixtureConfig, replicates: int, length: int, seed: int,
+                read, first_exceed) -> tuple[np.ndarray, np.ndarray]:
+    """Every replicate's (t*, m*), its stream drawn a doubling prefix at a time.
+
+    Each pass of ``_passes`` draws the new rows of every replicate that has
+    not yet detected and keeps what ``read(monitor, x, y)`` makes of them.
+    ``first_exceed(runs, n)`` steps the recursions of ``runs``, a list of
+    (monitor, kept chunks), over rows 1..n from t = 1 and gives each run's
+    (t*, m*), t* = 0 where none fires. Every recursion is causal, so a
+    detection within a prefix is the detection on the whole stream: a
+    replicate that detects is done, and its monitor and rows are released.
+    One that never fires is read to ``length`` and keeps t* = 0.
+    """
+    active = {i: (*_replicate(method, cfg, length, derive_seed(seed, i)), [])
+              for i in range(replicates)}
+    t_star, m_star = np.zeros((2, replicates), dtype=np.int64)
+    for start, n in _passes(length):
+        for monitor, draw, kept in active.values():
+            stream = draw.take(n)
+            kept.append(read(monitor, stream.x[start:], stream.y[start:]))
+        found = first_exceed([(monitor, kept) for monitor, _, kept in active.values()], n)
+        for i, (t, m) in zip(list(active), found):
+            if t:
+                t_star[i], m_star[i] = t, m
+                del active[i]
+        if not active:
+            break
+    return t_star, m_star
 
 
 def _run_cdm_batch(method: CdmMethod, cfg: GaussianMixtureConfig, replicates: int,
                    length: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    all_rows, owners, hist_seeds = [], [], []
-    for i in range(replicates):
-        monitor, stream, labels = _replicate(method, cfg, length, derive_seed(seed, i))
+    def read(monitor, x, y):
+        """The new rows' labels and bins, each in its class's histogram."""
+        labels = _monitored(method, y)
+        bins = np.zeros(len(labels), dtype=np.int16)
         for m, detector in monitor.detectors.items():
-            pos = np.flatnonzero(labels == m) + 1  # 1-based global positions
-            all_rows.append((locate_bins(detector.hist, stream.x[pos - 1]), pos))
-            owners.append((i, m))
-            hist_seeds.append(detector.hist.seed)
-    lengths = np.array([len(bins) for bins, _ in all_rows], dtype=np.int64)
-    t_pad = int(lengths.max(initial=0))
-    packed = np.zeros((len(all_rows), t_pad), dtype=np.int16)
-    for r, (bins, _) in enumerate(all_rows):
-        packed[r, : len(bins)] = bins
-    steps = batch_first_exceed(packed, lengths, method.table, hist_seeds)
-    t_star, m_star = np.zeros((2, replicates), dtype=np.int64)
-    for r, step in enumerate(steps):
-        if step == 0:
-            continue
-        i, m = owners[r]
-        global_t = int(all_rows[r][1][step - 1])
-        if t_star[i] == 0 or global_t < t_star[i]:
-            t_star[i], m_star[i] = global_t, m
-    return t_star, m_star
+            rows = labels == m
+            bins[rows] = locate_bins(detector.hist, x[rows])
+        return labels, bins
+
+    def first_exceed(runs, n):
+        class_rows, owners, hist_seeds = [], [], []
+        for r, (monitor, kept) in enumerate(runs):
+            labels, bins = (np.concatenate(parts) for parts in zip(*kept))
+            for m, detector in monitor.detectors.items():
+                pos = np.flatnonzero(labels == m) + 1  # 1-based global positions
+                class_rows.append((bins[pos - 1], pos))
+                owners.append((r, m))
+                hist_seeds.append(detector.hist.seed)
+        lengths = np.array([len(pos) for _, pos in class_rows], dtype=np.int64)
+        packed = np.zeros((len(class_rows), int(lengths.max(initial=0))), dtype=np.int16)
+        for row, (bins, _) in zip(packed, class_rows):
+            row[: len(bins)] = bins
+        steps = batch_first_exceed(packed, lengths, method.table, hist_seeds)
+        found = [(0, 0)] * len(runs)
+        for (r, m), (_, pos), step in zip(owners, class_rows, steps.tolist()):
+            if step and (not found[r][0] or pos[step - 1] < found[r][0]):
+                found[r] = (int(pos[step - 1]), m)
+        return found
+
+    return _run_passes(method, cfg, replicates, length, seed, read, first_exceed)
 
 
 def _run_ecdd_batch(method: EcddMethod, cfg: GaussianMixtureConfig, replicates: int,
                     length: int, seed: int) -> tuple[np.ndarray, None]:
-    errors = np.empty((replicates, length), dtype=np.uint8)
-    p0 = np.empty(replicates)
-    for i in range(replicates):
-        monitor, stream, labels = _replicate(method, cfg, length, derive_seed(seed, i))
-        errors[i] = monitor.classifier.predict(stream.x) != labels
-        p0[i] = monitor.state.p0
-    t_star = ecdd_first_exceed(errors, p0, method.prior_weight, method.r, method.limit)
-    return t_star, None
+    def read(monitor, x, y):
+        """The new rows' 0/1 classification errors."""
+        return monitor.classifier.predict(x) != y
+
+    def first_exceed(runs, n):
+        errors = np.empty((len(runs), n), dtype=np.uint8)
+        for row, (_, kept) in zip(errors, runs):
+            np.concatenate(kept, out=row)
+        p0 = np.array([monitor.state.p0 for monitor, _ in runs])
+        t = ecdd_first_exceed(errors, p0, method.prior_weight, method.r, method.limit)
+        return [(step, 0) for step in t.tolist()]
+
+    return _run_passes(method, cfg, replicates, length, seed, read, first_exceed)[0], None
 
 
 def _run_sequential(method, cfg: GaussianMixtureConfig, replicates: int, length: int,
@@ -178,15 +239,23 @@ def _run_sequential(method, cfg: GaussianMixtureConfig, replicates: int, length:
     """The reference engine: each replicate's monitor, row-exact.
 
     ``run_labeled_stream`` feeds it in chunks that stop where per-row calls
-    would stop.
+    would stop, and the stream is drawn in the passes of ``_passes`` as it
+    reads, so drawing stops within a pass of the detection.
     """
     t_star, m_star = np.zeros((2, replicates), dtype=np.int64)
     for i in range(replicates):
-        monitor, stream, labels = _replicate(method, cfg, length, derive_seed(seed, i))
-        detection = run_labeled_stream(monitor, zip(stream.x, labels.tolist()))
+        monitor, draw = _replicate(method, cfg, length, derive_seed(seed, i))
+        detection = run_labeled_stream(monitor, _rows(method, draw))
         if detection is not None:  # ECDD names no class: its m* is None
             t_star[i], m_star[i] = detection.t_star, detection.m_star or 0
     return t_star, None if isinstance(method, EcddMethod) else m_star
+
+
+def _rows(method, draw: StreamDraw):
+    """(x, label) per row of ``draw``'s stream, drawn a pass of ``_passes`` at a time."""
+    for start, n in _passes(draw.length):
+        stream = draw.take(n)
+        yield from zip(stream.x[start:], _monitored(method, stream.y[start:]).tolist())
 
 
 def _report(method, cfg: GaussianMixtureConfig, replicates: int, horizon: int, seed: int,

@@ -322,7 +322,8 @@ def calibrate_ecdd_limit(p0: float, r: float, arl0_target: float,
     fires at the first error) when that already meets the target. More
     than ``ECDD_MAX_CHART_STEPS`` chart steps (replicates x horizon) are
     refused with ConfigError before any draw; under the default horizon of
-    20 x the target, the error names the largest target that fits.
+    20 x the target, the error names the target, not the horizon, and the
+    largest target that fits.
     """
     if not 0.0 < p0 < 1.0:
         raise ConfigError(f"p0 must be in (0, 1), got {p0}")
@@ -332,12 +333,14 @@ def calibrate_ecdd_limit(p0: float, r: float, arl0_target: float,
     default = horizon is None  # 20 x the target
     horizon = check_count(int(20 * arl0_target) if default else horizon, "horizon")
     if replicates * horizon > ECDD_MAX_CHART_STEPS:
-        fix = (f"at {replicates} replicates the largest target that fits is "
-               f"{ECDD_MAX_CHART_STEPS // (20 * replicates)}; lower the target or the replicates"
-               if default else "lower the replicates or the horizon")
-        raise ConfigError(f"{replicates} replicates x horizon {horizon} exceed the "
-                          f"{ECDD_MAX_CHART_STEPS:.0e} chart steps an ECDD limit may take; "
-                          f"{fix}")
+        bound = f"the {ECDD_MAX_CHART_STEPS:.0e} chart steps an ECDD limit may take"
+        if default:  # name the target: 20 x it may run to hundreds of digits
+            raise ConfigError(
+                f"target ARL0 {arl0_target:g} at {replicates} replicates exceeds {bound}; "
+                f"the largest target that fits is "
+                f"{ECDD_MAX_CHART_STEPS // (20 * replicates)}; lower the target or the replicates")
+        raise ConfigError(f"{replicates} replicates x horizon {horizon} exceed {bound}; "
+                          f"lower the replicates or the horizon")
 
     rng = rng_from(seed)
     blocks = ecdd_blocks(replicates, horizon,

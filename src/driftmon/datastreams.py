@@ -2,8 +2,11 @@
 
 Synthetic streams are Gaussian mixtures with one component per class and
 an optional change point tau after which some class-conditionals switch
-to their post-change variants. Real streams are read from CSV by a row
-iterator that parses a block of lines at a time.
+to their post-change variants. A ``StreamDraw`` draws a stream's labels
+at once and its features in row order as they are taken, so a prefix
+costs only its own rows and equals the whole draw's first rows. Real
+streams are read from CSV by a row iterator that parses a block of lines
+at a time.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ class GaussianMixtureConfig:
             self.priors = np.full(m, 1.0 / m)
         else:
             self.priors = np.asarray(self.priors, dtype=float)
-            if self.priors.shape != (m,) or np.any(self.priors < 0):
+            if self.priors.shape != (m,) or not np.all(self.priors >= 0):
                 raise ConfigError("priors must be a non-negative vector, one per class")
-            if abs(self.priors.sum() - 1.0) > 1e-9:
+            if not abs(self.priors.sum() - 1.0) <= 1e-9:
                 raise ConfigError("priors must sum to 1")
         self.covs, factors = self._check_covs(self.covs, m, d)
         if self.post_means is None:
@@ -107,43 +110,84 @@ class LabeledStream:
 
 
 def _mixture_draw(cfg: GaussianMixtureConfig, labels: np.ndarray, post: np.ndarray,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Transform standard normals into class-conditional draws in stream order."""
-    n = len(labels)
-    z = rng.standard_normal((n, cfg.dim))
+                  rng: np.random.Generator, whole: Optional[np.ndarray] = None) -> np.ndarray:
+    """Transform standard normals into class-conditional draws in stream order.
+
+    The rows are grouped by (class, pre/post) with one stable sort, so each
+    group holds its rows in stream order and is transformed by one matrix
+    product. ``whole`` counts each group's rows in the whole draw these
+    rows open or continue (default: these rows). A product of one row
+    runs as a matrix-vector product, which may round differently from the
+    rows of a larger product, so a lone row of a larger group is
+    transformed as one of two: each row is the double the whole draw gives.
+    """
+    z = rng.standard_normal((len(labels), cfg.dim))
     x = np.empty_like(z)
-    for m in range(1, cfg.n_classes + 1):
-        for is_post in (False, True):
-            mask = (labels == m) & (post == is_post)
-            if not mask.any():
-                continue
-            mean = (cfg.post_means if is_post else cfg.means)[m - 1]
-            x[mask] = mean + z[mask] @ cfg._cholesky[is_post][m - 1].T
+    key = 2 * (labels - 1) + post
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=2 * cfg.n_classes)
+    whole = counts if whole is None else whole
+    start = 0
+    for group, (count, size) in enumerate(zip(counts.tolist(), whole.tolist())):
+        rows, start = order[start:start + count], start + count
+        if not count:
+            continue
+        m, is_post = divmod(group, 2)
+        mean = (cfg.post_means if is_post else cfg.means)[m]
+        lone = count == 1 and size > 1
+        x[rows] = mean + (z[rows[[0, 0]] if lone else rows] @ cfg._cholesky[is_post][m].T)[:count]
     return x
+
+
+class StreamDraw:
+    """Rows 1..n of ``generate_stream(cfg, length, seed)``, drawn on demand.
+
+    The stream takes two draws from the seed's PCG64 generator: one
+    uniform per row, whose ``searchsorted`` in the prior CDF is the row's
+    class (what ``Generator.choice`` does), and then ``d`` standard normals
+    per row, in row order. The labels of all ``length`` rows are drawn at
+    once, one 64-bit output each; the normals, which cost the most, are
+    drawn and transformed only as ``take`` reaches their rows. So
+    ``take(n)`` returns rows 1..n bit for bit, whatever prefixes were
+    taken before.
+    """
+
+    def __init__(self, cfg: GaussianMixtureConfig, length: int, seed: int):
+        if length < 1:
+            raise ConfigError("stream length must be >= 1")
+        if cfg.tau > length:
+            raise ConfigError(f"tau={cfg.tau} exceeds stream length {length}")
+        self.cfg, self.length = cfg, length
+        self._rng = rng_from(seed)
+        cdf = cfg.priors.cumsum()
+        y = (cdf / cdf[-1]).searchsorted(self._rng.random(length), side="right") + 1
+        post = np.arange(1, length + 1) > cfg.tau
+        self._whole = np.bincount(2 * (y - 1) + post, minlength=2 * cfg.n_classes)
+        self._y = y.astype(np.min_scalar_type(cfg.n_classes))  # all rows' labels, compactly
+        self.x = np.empty((0, cfg.dim))  # the rows drawn so far
+
+    def take(self, n: int) -> LabeledStream:
+        """Rows 1..n of the stream, 1 <= n <= length."""
+        if not 1 <= n <= self.length:
+            raise ConfigError(f"can take 1..{self.length} rows, not {n}")
+        drawn = len(self.x)
+        if n > drawn:
+            labels = self._y[drawn:n].astype(np.int64)
+            post = np.arange(drawn + 1, n + 1) > self.cfg.tau
+            self.x = np.concatenate((self.x, _mixture_draw(self.cfg, labels, post, self._rng,
+                                                           self._whole)))
+        return LabeledStream(x=self.x[:n], y=self._y[:n], labeled=np.ones(n, dtype=bool))
 
 
 def generate_stream(cfg: GaussianMixtureConfig, length: int, seed: int) -> LabeledStream:
     """Draw a labeled stream: pre-change for t <= tau, post-change after."""
-    if length < 1:
-        raise ConfigError("stream length must be >= 1")
-    if cfg.tau > length:
-        raise ConfigError(f"tau={cfg.tau} exceeds stream length {length}")
-    rng = rng_from(seed)
-    labels = rng.choice(cfg.n_classes, size=length, p=cfg.priors) + 1
-    post = np.arange(1, length + 1) > cfg.tau
-    x = _mixture_draw(cfg, labels, post, rng)
-    return LabeledStream(x=x, y=labels, labeled=np.ones(length, dtype=bool))
+    return StreamDraw(cfg, length, seed).take(length)
 
 
 def sample_training(cfg: GaussianMixtureConfig, per_class: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exactly ``per_class`` pre-change draws from every class-conditional."""
-    rng = rng_from(seed)
-    blocks, labels = [], []
-    for m in range(1, cfg.n_classes + 1):
-        lab = np.full(per_class, m)
-        blocks.append(_mixture_draw(cfg, lab, np.zeros(per_class, bool), rng))
-        labels.append(lab)
-    return np.vstack(blocks), np.concatenate(labels)
+    """Exactly ``per_class`` pre-change draws from every class-conditional, class by class."""
+    labels = np.repeat(np.arange(1, cfg.n_classes + 1), per_class)
+    return _mixture_draw(cfg, labels, np.zeros(len(labels), dtype=bool), rng_from(seed)), labels
 
 
 def skl_gaussian(mean0, cov0, mean1, cov1) -> float:

@@ -317,8 +317,8 @@ def _robust_inverse(cov: np.ndarray) -> np.ndarray:
 CLASSIFIERS = {"knn": KnnClassifier, "lda": LdaClassifier}
 
 
-def fit_classifier(kind: str, x, y, k: int = DEFAULT_KNN_K):
-    """Fit a ``CLASSIFIERS`` kind on labeled training data (k: kNN's neighbours)."""
+def _training_set(kind: str, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) as float rows and int64 labels, or ``fit_classifier``'s refusal."""
     x = np.asarray(x, dtype=float)
     y = class_labels(y)
     if x.ndim != 2 or len(x) != len(y):
@@ -329,23 +329,41 @@ def fit_classifier(kind: str, x, y, k: int = DEFAULT_KNN_K):
         raise ConfigError("classifier training needs at least 2 classes")
     if kind not in CLASSIFIERS:
         raise ConfigError(f"unknown classifier kind {kind!r}")
-    return (KnnClassifier(k) if kind == "knn" else CLASSIFIERS[kind]()).fit(x, y)
+    return x, y
+
+
+def _classifier(kind: str, k: int):
+    return KnnClassifier(k) if kind == "knn" else CLASSIFIERS[kind]()
+
+
+def fit_classifier(kind: str, x, y, k: int = DEFAULT_KNN_K):
+    """Fit a ``CLASSIFIERS`` kind on labeled training data (k: kNN's neighbours)."""
+    x, y = _training_set(kind, x, y)
+    return _classifier(kind, k).fit(x, y)
 
 
 def cross_val_error(kind: str, x, y, seed: int = 0, k: int = DEFAULT_KNN_K) -> float:
-    """Stratified ``CV_FOLDS``-fold cross-validated error rate of a classifier."""
-    x = np.asarray(x, dtype=float)
-    y = class_labels(y)
+    """Stratified ``CV_FOLDS``-fold cross-validated error rate of a classifier.
+
+    The data are checked once, as ``fit_classifier`` checks them, and each
+    fold's classifier is fitted directly. A class of one row lies in fold
+    0 alone, so fold 0's training set lacks it: fewer than two classes
+    left there is refused as a training set of one class is.
+    """
+    x, y = _training_set(kind, x, y)
     rng = rng_from(seed)
+    classes, sizes = np.unique(y, return_counts=True)
+    if np.count_nonzero(sizes > 1) < 2:  # the classes in fold 0's training set
+        raise ConfigError("classifier training needs at least 2 classes")
     folds = np.empty(len(y), dtype=np.int64)
-    for c in np.unique(y):
+    for c in classes:
         idx = np.flatnonzero(y == c)
         rng.shuffle(idx)
         folds[idx] = np.arange(len(idx)) % CV_FOLDS
     errors = 0
     for f in range(CV_FOLDS):
         test = folds == f
-        clf = fit_classifier(kind, x[~test], y[~test], k=k)
+        clf = _classifier(kind, k).fit(x[~test], y[~test])
         errors += int((clf.predict(x[test]) != y[test]).sum())
     return errors / len(y)
 

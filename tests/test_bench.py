@@ -11,6 +11,7 @@ from driftmon import (
     EcddMethod,
     GaussianMixtureConfig,
     LabeledStream,
+    calibrate_thresholds,
     estimate_arl0,
     estimate_delay,
     generate_stream,
@@ -20,8 +21,11 @@ from driftmon import (
     save_table,
     skl_gaussian,
 )
-from driftmon.bench import config_hash
+from driftmon import bench
+from driftmon.bench import FIRST_ROWS, config_hash
 from driftmon.cli import EXIT_OK, main
+from driftmon.datastreams import StreamDraw
+from driftmon.ecdd import LdaClassifier
 from driftmon.seeding import derive_seed
 from driftmon.thresholds import ThresholdTable
 
@@ -112,6 +116,96 @@ def test_sequential_engine_runs_what_the_cli_runs(small_table, tmp_path, capsys,
     report = json.loads(capsys.readouterr().out)
     assert report["t_star"] == seq.t_star[i]
     assert report["m_star"] == (None if seq.m_star is None else seq.m_star[i])
+
+
+@pytest.fixture()
+def drawn(monkeypatch):
+    """Rows drawn of each replicate's stream, in the order the replicates are fitted."""
+    rows = []
+
+    class CountingDraw(StreamDraw):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.slot = len(rows)
+            rows.append(0)
+
+        def take(self, n):
+            stream = super().take(n)
+            rows[self.slot] = len(self.x)
+            return stream
+
+    monkeypatch.setattr(bench, "StreamDraw", CountingDraw)
+    return rows
+
+
+def engines_agree(estimate, drawn, *args, **kwargs):
+    """Run both engines; check they agree and draw only the rows they read.
+
+    A replicate that detects at t* has at most max(FIRST_ROWS, 2 t*) rows
+    drawn, one that never detects its whole horizon.
+    """
+    reports = []
+    for engine in ("batch", "sequential"):
+        drawn.clear()
+        report = estimate(*args, **kwargs, engine=engine)
+        assert len(drawn) == report.replicates
+        for rows, t in zip(drawn, report.t_star.tolist()):
+            assert rows <= max(FIRST_ROWS, 2 * t) if t else rows == report.horizon
+        reports.append(report)
+    batch, seq = reports
+    assert np.array_equal(batch.t_star, seq.t_star)
+    assert (batch.m_star is None) == (seq.m_star is None)
+    if batch.m_star is not None:
+        assert np.array_equal(batch.m_star, seq.m_star)
+    return batch
+
+
+@pytest.fixture(scope="module")
+def quiet_table():
+    """K=16, N=64 at ARL0 1000: runs alarm past the first pass, or never."""
+    return calibrate_thresholds(64, 16, 0.03, 1000.0, t_max=170, replicates=10_000, seed=7)
+
+
+def quiet_method(kind, table):
+    """``kind`` on ``table``; the ECDD limit is as quiet as the table."""
+    return {"cdm": CdmMethod(table=table, train_per_class=64),
+            "qtewma": CdmMethod(table=table, train_per_class=32, pooled=True, name="qtewma"),
+            "ecdd": EcddMethod(limit=4.0, classifier="lda", train_per_class=64)}[kind]
+
+
+@pytest.mark.parametrize("kind", ["cdm", "qtewma", "ecdd"])
+def test_engines_agree_at_tau_0_and_draw_only_what_they_read(quiet_table, cfg0, drawn, kind):
+    report = engines_agree(estimate_arl0, drawn, quiet_method(kind, quiet_table), cfg0,
+                           12, 10_000, seed=8)
+    assert report.tau == 0 and (report.t_star > 2 * FIRST_ROWS).any()
+
+
+@pytest.mark.parametrize("kind", ["cdm", "qtewma", "ecdd"])
+def test_batch_engine_bins_or_classifies_each_drawn_row_once(quiet_table, cfg0, drawn,
+                                                             monkeypatch, kind):
+    seen = []
+    if kind == "ecdd":
+        predict = LdaClassifier.predict
+        monkeypatch.setattr(LdaClassifier, "predict",
+                            lambda self, x: seen.append(len(x)) or predict(self, x))
+    else:
+        locate = bench.locate_bins
+        monkeypatch.setattr(bench, "locate_bins",
+                            lambda hist, x: seen.append(len(x)) or locate(hist, x))
+    report = estimate_arl0(quiet_method(kind, quiet_table), cfg0, 12, 10_000, seed=8)
+    assert (report.t_star > 2 * FIRST_ROWS).any()
+    # ECDD's cross-validation classifies each of the 2 x 64 training rows once
+    assert sum(seen) == sum(drawn) + (kind == "ecdd") * 12 * 128
+
+
+@pytest.mark.parametrize("kind", ["cdm", "qtewma", "ecdd"])
+def test_engines_agree_on_replicates_that_never_detect(quiet_table, cfg0, drawn, kind):
+    # no drift after tau, so alarms are rare: the censored runs go through
+    # every pass (256, 512, 1024 and 1200 rows) to the horizon
+    report = engines_agree(estimate_delay, drawn, quiet_method(kind, quiet_table),
+                           replace(cfg0, tau=100), 10, seed=12, post_length=1100)
+    assert report.horizon == 1200 and report.censored > 0
+    assert 0 < report.detections + report.false_alarms
 
 
 def test_delay_excludes_false_alarms(small_table):

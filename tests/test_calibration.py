@@ -404,6 +404,17 @@ def test_ecdd_limit_refusal_names_the_largest_target_that_fits(monkeypatch):
     assert "largest target" not in str(refused.value)
 
 
+def test_ecdd_limit_refusal_names_the_target_not_the_horizon(monkeypatch):
+    # the default horizon of 20 x 1e300 steps printed as a 301-digit integer
+    monkeypatch.setattr(calibration, "rng_from", None)  # any draw would fail
+    for target, replicates in ((1e300, 200), (20_000.0, 5000), (1.5e15, 5000)):
+        with pytest.raises(ConfigError) as refused:
+            calibrate_ecdd_limit(0.1, 0.2, target, replicates=replicates)
+        message = str(refused.value)
+        assert f"target ARL0 {target:g} at {replicates} replicates" in message
+        assert "1e+09 chart steps" in message and len(message) < 200
+
+
 def test_ecdd_limit_parameter_errors():
     with pytest.raises(ConfigError):
         calibrate_ecdd_limit(0.0, 0.2, 100.0)

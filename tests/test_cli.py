@@ -179,6 +179,14 @@ def test_monitor_ecdd_refusal_names_the_largest_target_that_fits(workdir, capsys
     assert "chart steps" in err and "largest target that fits is 10000;" in err
 
 
+def test_monitor_ecdd_refusal_names_the_target_not_the_horizon(workdir, capsys):
+    code = main(["monitor", "--method", "ecdd", "--train", str(workdir["train"]),
+                 "--stream", str(workdir["stream"]), "--arl0", "1e300"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert "target ARL0 1e+300 at 5000 replicates" in err and len(err) < 200
+
+
 def test_unknown_method_is_config_error(workdir, capsys):
     code = main(["monitor", "--method", "nope", "--train", str(workdir["train"]),
                  "--stream", str(workdir["stream"])])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -120,6 +121,109 @@ def test_sample_training_exact_counts():
     assert x.shape == (512, 2)
     assert (y == 1).sum() == 256 and (y == 2).sum() == 256
     assert abs(x[y == 2, 0].mean() - 2.0) < 0.3
+
+
+def correlated_config(tau: int) -> GaussianMixtureConfig:
+    """Three 8-D classes with correlated covariances, skewed priors and a
+    change in class 2's mean and in the covariances of classes 2 and 3."""
+    d = 8
+    idx = np.arange(d)
+    ar = 0.6 ** np.abs(idx[:, None] - idx[None, :])
+    means = np.stack([np.zeros(d), np.linspace(0.0, 2.0, d), -np.ones(d)])
+    post = means.copy()
+    post[1] += 0.75
+    return GaussianMixtureConfig(
+        means=means, covs=np.stack([ar, 2.0 * ar + np.eye(d), np.diag(1.0 + idx / 4.0)]),
+        priors=[0.7, 0.25, 0.05], post_means=post,
+        post_covs=np.stack([ar, np.eye(d), 0.5 * ar + 0.5 * np.eye(d)]), tau=tau)
+
+
+PREFIX_CASES = {  # (config, stream length)
+    "correlated-8d": (correlated_config(tau=120), 300),
+    "tau-0": (two_gaussian_config(delta=2.0, class2_shift=(0.0, 1.0), tau=0), 300),
+    "tau-length": (correlated_config(tau=300), 300),
+    "tau-one-short": (two_gaussian_config(delta=2.0, class2_shift=(1.0, 0.0), tau=299), 300),
+    "length-1": (correlated_config(tau=0), 1),
+}
+
+
+@pytest.mark.parametrize("case", PREFIX_CASES)
+@pytest.mark.parametrize("seed", [0, 31])
+def test_take_matches_generate_stream_over_any_increasing_prefixes(case, seed):
+    # every row, however the prefixes fall, is the double the whole draw
+    # gives, including a lone row of a class in a pass
+    cfg, length = PREFIX_CASES[case]
+    full = generate_stream(cfg, length, seed)
+    rng = rng_from(seed + 1)
+    sequences = [range(1, length + 1), [length],
+                 [n for n in (1, 2, 3, 5, 64, 256, 257, length) if n <= length],
+                 np.unique(rng.integers(1, length + 1, size=12)).tolist() + [length]]
+    for ns in sequences:
+        draw = datastreams.StreamDraw(cfg, length, seed)
+        for n in ns:
+            for _ in range(2):  # a prefix taken again is the same prefix
+                stream = draw.take(n)
+                assert np.array_equal(stream.x, full.x[:n]), (list(ns), n)
+                assert np.array_equal(stream.y, full.y[:n])
+                assert stream.labeled.all() and len(stream) == n
+            assert len(draw.x) == n  # nothing past n was drawn
+
+
+def test_take_refuses_a_prefix_outside_the_stream():
+    draw = datastreams.StreamDraw(two_gaussian_config(), 10, seed=1)
+    for n in (0, 11):
+        with pytest.raises(ConfigError, match="can take 1..10 rows"):
+            draw.take(n)
+
+
+def test_priors_that_are_nan_are_refused():
+    with pytest.raises(ConfigError):
+        GaussianMixtureConfig(means=np.zeros((2, 2)), priors=np.array([np.nan, np.nan]))
+
+
+def draw_digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8" if a.dtype.kind == "f" else "<i8")
+                 .tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of generate_stream and sample_training outputs for fixed seeds
+# (numpy 2.4.6 with OpenBLAS). They pin the draws: a change to numpy or to
+# the draw that moves one bit of one row fails here.
+GOLDEN_DRAWS = {
+    ("stream", "correlated-8d"):
+        "8701571299d6e56c0c02e7f886a4f7ce37be4078f0c889bb2738dd02b32838ed",
+    ("stream", "two-class"):
+        "b5a27d5537a9edb8dcae86f1fa8c4badad36fffee63586b3283a6a73fbd49aa2",
+    ("stream", "lone-post-row"):
+        "1209b39677bf8ff98b88972292d9177b0d61f8458aeb43cf5838d83ec7e7f7ae",
+    ("training", "correlated-8d"):
+        "42a68b36d569c397cea965707efe6342e23496ce50281deb9fa40d90f006ab9b",
+    ("training", "one-per-class"):
+        "cfe34d3f7181636ea0fba4ca5bd1d99c9ca4200a58552794e1147a62322bd9ef",
+}
+
+
+def golden_draws():
+    two = two_gaussian_config(delta=2.0, class2_shift=(0.0, 1.5), tau=150)
+    seeds = (0, 7, 2**63 + 5)
+    yield ("stream", "correlated-8d"), [
+        generate_stream(correlated_config(tau=300), 777, s) for s in seeds]
+    yield ("stream", "two-class"), [generate_stream(two, 777, s) for s in seeds]
+    yield ("stream", "lone-post-row"), [  # each class has at most one post-change row
+        generate_stream(correlated_config(tau=776), 777, s) for s in seeds]
+    yield ("training", "correlated-8d"), [
+        sample_training(correlated_config(tau=0), 97, s) for s in seeds]
+    yield ("training", "one-per-class"), [
+        sample_training(correlated_config(tau=0), 1, s) for s in seeds]
+
+
+def test_draws_match_their_golden_digests():
+    for key, draws in golden_draws():
+        arrays = [a for d in draws for a in ((d.x, d.y) if hasattr(d, "x") else d)]
+        assert draw_digest(*arrays) == GOLDEN_DRAWS[key], key
 
 
 def test_skl_symmetry_and_closed_form():

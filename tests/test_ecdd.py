@@ -10,6 +10,7 @@ from conftest import reference_ecdd_fires, reference_ecdd_step, reference_knn_pr
 
 from driftmon import (ConfigError, EcddMonitor, InputError, cross_val_error, ecdd_init,
                       ecdd_update, fit_classifier, run_labeled_stream)
+from driftmon import ecdd
 from driftmon.ecdd import KnnClassifier, LdaClassifier
 from driftmon.engine import ecdd_first_exceed
 from driftmon.seeding import rng_from
@@ -340,6 +341,52 @@ def test_cross_val_error_is_deterministic_and_bounded():
     assert 0.0 <= a <= 1.0 and 0.0 <= c <= 1.0
     # delta=2 overlap: both classifiers land near the Gaussian overlap rate
     assert 0.05 < a < 0.3 and 0.05 < c < 0.3
+
+
+def reference_cross_val_error(kind, x, y, seed, k=9):
+    """Stratified folds as ``cross_val_error`` draws them, each fold fitted
+    through ``fit_classifier`` and all of its checks."""
+    rng = rng_from(seed)
+    folds = np.empty(len(y), dtype=np.int64)
+    for c in np.unique(y):
+        idx = np.flatnonzero(y == c)
+        rng.shuffle(idx)
+        folds[idx] = np.arange(len(idx)) % 5
+    errors = 0
+    for f in range(5):
+        test = folds == f
+        clf = fit_classifier(kind, x[~test], y[~test], k=k)
+        errors += int((clf.predict(x[test]) != y[test]).sum())
+    return errors / len(y)
+
+
+@pytest.mark.parametrize("kind", ["knn", "lda"])
+def test_cross_val_error_checks_once_and_matches_fold_by_fold_fits(kind, monkeypatch):
+    rng = rng_from(12)
+    x = rng.standard_normal((203, 3)) + np.repeat([[0.0, 0, 0], [1.5, 0, 0], [0, 1.5, 0]],
+                                                   [90, 70, 43], axis=0)
+    y = np.repeat([1, 2, 3], [90, 70, 43])
+    expected = [reference_cross_val_error(kind, x, y, seed) for seed in range(4)]
+    checks = []
+    original = ecdd._training_set
+    monkeypatch.setattr(ecdd, "_training_set", lambda *a: checks.append(1) or original(*a))
+    assert [cross_val_error(kind, x, y, seed=seed) for seed in range(4)] == expected
+    assert len(checks) == 4  # once a call, not once a fold
+
+
+@pytest.mark.parametrize("kind", ["knn", "lda"])
+def test_cross_val_error_refuses_a_fold_left_with_one_class(kind):
+    # class 2 has a single row, which lies in fold 0: that fold's training
+    # set holds class 1 alone, as fit_classifier on it would refuse
+    x, y = two_class_data(2.0, n=40, seed=3)
+    keep = np.flatnonzero(y == 1).tolist() + [int(np.flatnonzero(y == 2)[0])]
+    x, y = x[keep], y[keep]
+    with pytest.raises(ConfigError, match="at least 2 classes"):
+        cross_val_error(kind, x, y, k=1)
+    # with a third class of two rows, every fold's training set has two
+    x3 = np.vstack([x, [[5.0, 5.0], [5.0, 6.0]]])
+    y3 = np.concatenate([y, [3, 3]])
+    assert cross_val_error(kind, x3, y3, k=1) == reference_cross_val_error(kind, x3, y3, 0, k=1)
 
 
 def test_monitor_stream_skips_unlabeled_and_reports_global_time():
