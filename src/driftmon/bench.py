@@ -5,11 +5,12 @@ from (master seed, replicate index), so reports are reproducible and
 independent of execution order. Both engines start from the monitor
 ``_replicate`` fits: the default engine reads its histograms or
 classifier and steps all replicates' recursions in lockstep with numpy;
-the "sequential" engine feeds it one sample at a time, as the CLI does,
-and is used to validate the batch path. Both read a replicate's stream
-(a ``StreamDraw``) a doubling prefix at a time, ``FIRST_ROWS`` rows and
-then twice as many each pass, and stop at its detection: the rows after
-it are never drawn, so ``post_length`` costs only the rows read.
+the "sequential" engine hands each pass's new rows to the monitor's own
+``process_batch``, row-exact, and is used to validate the batch path.
+Both read a replicate's stream (a ``StreamDraw``) a doubling prefix at a
+time, ``FIRST_ROWS`` rows and then twice as many each pass, and stop at
+its detection: the rows after it are never drawn, so ``post_length``
+costs only the rows read.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import ecdd as ecdd_mod
-from .cdm import fit_cdm, run_labeled_stream
+from .cdm import fit_cdm
 from .datastreams import (GaussianMixtureConfig, StreamDraw, generate_stream, sample_training,
                           skl_gaussian)
 from .engine import batch_first_exceed, ecdd_first_exceed
@@ -238,24 +239,21 @@ def _run_sequential(method, cfg: GaussianMixtureConfig, replicates: int, length:
                     seed: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """The reference engine: each replicate's monitor, row-exact.
 
-    ``run_labeled_stream`` feeds it in chunks that stop where per-row calls
-    would stop, and the stream is drawn in the passes of ``_passes`` as it
-    reads, so drawing stops within a pass of the detection.
+    Each pass of ``_passes`` draws the new rows and hands them to
+    ``monitor.process_batch``, which leaves the monitor as per-row calls
+    would, so drawing stops within a pass of the detection.
     """
     t_star, m_star = np.zeros((2, replicates), dtype=np.int64)
     for i in range(replicates):
         monitor, draw = _replicate(method, cfg, length, derive_seed(seed, i))
-        detection = run_labeled_stream(monitor, _rows(method, draw))
-        if detection is not None:  # ECDD names no class: its m* is None
-            t_star[i], m_star[i] = detection.t_star, detection.m_star or 0
+        for start, n in _passes(length):
+            stream = draw.take(n)
+            labels = _monitored(method, stream.y[start:])
+            detection = monitor.process_batch(stream.x[start:], labels, stream.labeled[start:])
+            if detection is not None:  # ECDD names no class: its m* is None
+                t_star[i], m_star[i] = detection.t_star, detection.m_star or 0
+                break
     return t_star, None if isinstance(method, EcddMethod) else m_star
-
-
-def _rows(method, draw: StreamDraw):
-    """(x, label) per row of ``draw``'s stream, drawn a pass of ``_passes`` at a time."""
-    for start, n in _passes(draw.length):
-        stream = draw.take(n)
-        yield from zip(stream.x[start:], _monitored(method, stream.y[start:]).tolist())
 
 
 def _report(method, cfg: GaussianMixtureConfig, replicates: int, horizon: int, seed: int,

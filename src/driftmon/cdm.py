@@ -28,13 +28,18 @@ class Detection:
 
 class Monitor:
     """What ``CdmMonitor`` and ``ecdd.EcddMonitor`` share: global time, the
-    detection (at a global stream position) and the per-row calls. A subclass
-    defines ``process_batch(x, y, labeled)`` and adds its fields to ``report``.
+    detection (at a global stream position), the per-row calls and
+    ``process_batch``, the one loop over a chunk. A subclass adds its
+    ``report`` fields and three hooks: ``_admit`` masks the rows it steps
+    and those it refuses, ``_step`` steps rows in stream order and gives
+    (row, m*) of the first that fires, and ``_refuse`` raises a refused
+    row's own error before any state moves.
     """
 
     def __init__(self):
         self.global_t = 0
         self.detection: Optional[Detection] = None
+        self.skipped_unknown = 0  # labeled rows neither stepped nor refused
 
     def process(self, x, y: int) -> Optional[Detection]:
         """Process one labeled sample: a one-row ``process_batch``.
@@ -50,6 +55,35 @@ class Monitor:
             self.global_t += 1
         return self.detection
 
+    def process_batch(self, x, y, labeled) -> Optional[Detection]:
+        """Process rows as ``process``/``process_unlabeled`` would, one by one.
+
+        ``x``, ``y`` and ``labeled`` are the three arrays of a
+        ``LabeledStream`` chunk (``y`` is ignored where ``labeled`` is
+        false). Processing stops at the first detection or the first
+        refused row, which raises its per-row call's ``InputError`` unless
+        the rows before it detected; a label that is not an integer (2.7,
+        NaN) gets ``class_labels``' error.
+        """
+        if self.detection is not None:
+            return self.detection
+        x = np.asarray(x, dtype=float)
+        y, whole = integer_labels(y)
+        labeled = np.asarray(labeled, dtype=bool)
+        stepped, refused = self._admit(x, y, whole, labeled)
+        stop = int(refused.argmax()) if refused.any() else len(x)
+        fired = self._step(x, y, np.flatnonzero(stepped[:stop]))
+        if fired is not None:
+            stop = fired[0] + 1
+            self.detection = Detection(t_star=self.global_t + stop, m_star=fired[1])
+        self.global_t += stop
+        self.skipped_unknown += int((labeled[:stop] & ~stepped[:stop]).sum())
+        if self.detection is None and stop < len(x):
+            if not whole[stop]:
+                raise InputError("class labels must be integers")
+            self._refuse(x[stop], int(y[stop]))
+        return self.detection
+
     def report(self) -> dict:
         det = self.detection
         return {
@@ -60,7 +94,8 @@ class Monitor:
 
 
 class CdmMonitor(Monitor):
-    """Sequential monitor over M per-class detectors."""
+    """Sequential monitor over M per-class detectors: an unseen label is
+    refused, or skipped and counted under ``lenient_labels``."""
 
     def __init__(self, detectors: dict[int, QtEwmaDetector], lenient_labels: bool = False):
         if not detectors:
@@ -68,56 +103,31 @@ class CdmMonitor(Monitor):
         super().__init__()
         self.detectors = detectors
         self.lenient_labels = lenient_labels
-        self.skipped_unknown = 0
 
-    def process_batch(self, x, y, labeled) -> Optional[Detection]:
-        """Process rows as ``process``/``process_unlabeled`` would, one by one.
-
-        ``x``, ``y`` and ``labeled`` are the three arrays of a
-        ``LabeledStream`` chunk (``y`` is ignored where ``labeled`` is
-        false). Each class's rows are binned by one ``locate_bins`` call,
-        then stepped through their detectors in stream order; processing
-        stops at the first detection. A row that a per-row call would
-        reject (an unseen label under the strict rule, a labeled row of
-        the wrong width or with a non-finite feature) raises that call's
-        ``InputError`` after the rows before it are processed, unless
-        they detected. A label that is not an integer (2.7, NaN) is
-        refused as an unseen one is, with ``class_labels``' error.
-        """
-        if self.detection is not None:
-            return self.detection
-        x = np.asarray(x, dtype=float)
-        y, whole = integer_labels(y)
-        labeled = np.asarray(labeled, dtype=bool)
+    def _admit(self, x, y, whole, labeled):
         classes = sorted(self.detectors)
         slot = np.searchsorted(classes, y).clip(max=len(classes) - 1)  # y's class, if any
         known = labeled & whole & (np.take(classes, slot) == y)
         sized = np.array([self.detectors[m].hist.dim == x.shape[1] for m in classes])
-        rejected = known & ~(sized[slot] & np.isfinite(x).all(axis=1))
+        refused = known & ~(sized[slot] & np.isfinite(x).all(axis=1))
         if not self.lenient_labels:
-            rejected |= labeled & ~known
-        stop = int(rejected.argmax()) if rejected.any() else len(x)
-        rows = np.flatnonzero(known[:stop])
-        bins = np.empty(len(rows), dtype=np.int64)
-        for j in np.flatnonzero(np.bincount(slot[rows], minlength=len(classes))).tolist():
-            of_m = slot[rows] == j
-            bins[of_m] = locate_bins(self.detectors[classes[j]].hist, x[rows[of_m]])
-        base = self.global_t
-        for i, m, b in zip(rows.tolist(), y[rows].tolist(), bins.tolist()):
+            refused |= labeled & ~known
+        return known & ~refused, refused
+
+    def _step(self, x, y, rows):
+        labels, bins = y[rows], np.empty(len(rows), dtype=np.int64)
+        for m in np.unique(labels).tolist():
+            of_m = labels == m
+            bins[of_m] = locate_bins(self.detectors[m].hist, x[rows[of_m]])
+        for i, m, b in zip(rows.tolist(), labels.tolist(), bins.tolist()):
             if self.detectors[m].update_from_bin(b)[1]:
-                stop = i + 1
-                self.detection = Detection(t_star=base + stop, m_star=m)
-                break
-        self.global_t = base + stop
-        self.skipped_unknown += int((labeled[:stop] & ~known[:stop]).sum())
-        if self.detection is None and stop < len(x):
-            label = int(y[stop])
-            if not whole[stop]:
-                raise InputError("class labels must be integers")
-            if label not in self.detectors:
-                raise InputError(f"unseen class label {label!r}")
-            self.detectors[label].update(x[stop])  # raises before any state moves
-        return self.detection
+                return i, m
+        return None
+
+    def _refuse(self, row, label):
+        if label not in self.detectors:
+            raise InputError(f"unseen class label {label!r}")
+        self.detectors[label].update(row)  # raises before any state moves
 
     def report(self) -> dict:
         return {
@@ -156,12 +166,18 @@ def class_labels(y) -> np.ndarray:
     return y
 
 
-def fit_class_histograms(train_x, train_y, n_bins: int, seed: int) -> dict[int, "object"]:
-    """Build one K-bin histogram per class label 1..M."""
-    x = np.asarray(train_x, dtype=float)
-    y = class_labels(train_y)
+def training_set(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) as float rows and int64 labels, or InputError: an N x d matrix, N labels."""
+    x = np.asarray(x, dtype=float)
+    y = class_labels(y)
     if x.ndim != 2 or len(x) != len(y):
         raise InputError("training data must be an N x d matrix with N labels")
+    return x, y
+
+
+def fit_class_histograms(train_x, train_y, n_bins: int, seed: int) -> dict[int, "object"]:
+    """Build one K-bin histogram per class label 1..M."""
+    x, y = training_set(train_x, train_y)
     if y.min(initial=1) < 1:
         raise InputError("class labels must be in 1..M")
     n_classes = int(y.max())
@@ -197,7 +213,7 @@ CHUNK_ROWS = 128  # rows that run_labeled_stream reads a pass
 
 def run_labeled_stream(monitor: Monitor, stream) -> Optional[Detection]:
     """Feed (x, y) pairs (y None = unlabeled) to a ``Monitor`` until detection
-    or exhaustion; the one loop over a labeled stream, for the CLI and the bench.
+    or exhaustion; the one loop over an iterable of rows, for the CLI.
 
     Each pass reads up to ``CHUNK_ROWS`` rows and hands each run of rows of
     one width to ``monitor.process_batch``, which leaves the monitor as

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cdm import Detection, Monitor, class_labels, integer_labels
+from .cdm import Monitor, training_set
 from .errors import ConfigError, InputError, NumericError
 from .seeding import rng_from
 
@@ -188,6 +188,7 @@ class KnnClassifier:
         self.train_x: np.ndarray | None = None
         self.train_y: np.ndarray | None = None
         self.classes: np.ndarray | None = None
+        self.dim: int | None = None  # features per row
         self._train_sq: np.ndarray | None = None  # ||t||^2 per training row
         self._neg2t: np.ndarray | None = None     # -2 t^T, (d, n_train)
 
@@ -197,6 +198,7 @@ class KnnClassifier:
         self.train_x = np.asarray(x, dtype=float)
         self.train_y = np.asarray(y, dtype=np.int64)
         self.classes = np.unique(self.train_y)
+        self.dim = self.train_x.shape[1]
         self._train_sq = np.einsum("ij,ij->i", self.train_x, self.train_x)
         self._neg2t = -2.0 * self.train_x.T
         return self
@@ -209,7 +211,7 @@ class KnnClassifier:
         the screen and its rounding bound. Rows whose squared norms come
         within a factor 4 of overflow are sorted in full instead.
         """
-        x = _check_features(x, self.train_x.shape[1])
+        x = _check_features(x, self.dim)
         out = np.empty(len(x), dtype=np.int64)
         # (rows, n_train) screens, and up to rows x n_train candidates of d features
         rows = max(1, KNN_BLOCK // self.train_x.size)
@@ -264,6 +266,7 @@ class LdaClassifier:
 
     def __init__(self):
         self.classes: np.ndarray | None = None
+        self.dim: int | None = None  # features per row
         self.means: np.ndarray | None = None
         self.weights: np.ndarray | None = None
         self.biases: np.ndarray | None = None
@@ -273,6 +276,7 @@ class LdaClassifier:
         y = np.asarray(y, dtype=np.int64)
         self.classes = np.unique(y)
         n, d = x.shape
+        self.dim = d
         means, scatter, priors = [], np.zeros((d, d)), []
         for c in self.classes:
             xc = x[y == c]
@@ -292,9 +296,13 @@ class LdaClassifier:
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = _check_features(x, self.weights.shape[0])
-        scores = x @ self.weights + self.biases
-        return self.classes[scores.argmax(axis=1)]
+        return self.classes[self._scores(x).argmax(axis=1)]
+
+    def _scores(self, x: np.ndarray) -> np.ndarray:
+        """Each row's scores, the same doubles in any chunk: a one-row product
+        may round otherwise (a matrix-vector product), so it runs as two rows."""
+        x = _check_features(x, self.dim)
+        return ((x[[0, 0]] if len(x) == 1 else x) @ self.weights + self.biases)[:len(x)]
 
 
 def _robust_inverse(cov: np.ndarray) -> np.ndarray:
@@ -319,10 +327,7 @@ CLASSIFIERS = {"knn": KnnClassifier, "lda": LdaClassifier}
 
 def _training_set(kind: str, x, y) -> tuple[np.ndarray, np.ndarray]:
     """(x, y) as float rows and int64 labels, or ``fit_classifier``'s refusal."""
-    x = np.asarray(x, dtype=float)
-    y = class_labels(y)
-    if x.ndim != 2 or len(x) != len(y):
-        raise InputError("training data must be an N x d matrix with N labels")
+    x, y = training_set(x, y)
     if not np.isfinite(x).all():
         raise InputError("training features contain non-finite values")
     if len(np.unique(y)) < 2:
@@ -379,44 +384,23 @@ class EcddMonitor(Monitor):
         self.classifier = classifier
         self.state = state
 
-    def process_batch(self, x, y, labeled) -> Optional[Detection]:
-        """Process rows as ``process``/``process_unlabeled`` would, one by one.
+    def _admit(self, x, y, whole, labeled):
+        # the labeled rows predict would reject are refused, all at a wrong width
+        fit = whole & np.isfinite(x).all(axis=1) & (x.shape[1] == self.classifier.dim)
+        return labeled & fit, labeled & ~fit
 
-        ``x``, ``y`` and ``labeled`` are the three arrays of a
-        ``LabeledStream`` chunk. The labeled rows are classified in one
-        ``predict`` call, and their errors are folded into the chart in
-        stream order until it fires. A labeled row that ``predict``
-        rejects (the wrong width, a non-finite feature), or whose label
-        is not an integer (2.7, NaN), raises its ``InputError`` after the
-        rows before it are processed, unless they detected.
-        """
-        if self.detection is not None:
-            return self.detection
-        x = np.asarray(x, dtype=float)
-        y, whole = integer_labels(y)
-        rows = np.flatnonzero(labeled)
-        valid = whole[rows] & np.isfinite(x[rows]).all(axis=1)
-        stop = int(rows[valid.argmin()]) if not valid.all() else len(x)
-        rows = rows[rows < stop]
-        base = self.global_t
-        try:
-            errors = (self.classifier.predict(x[rows]) != y[rows]) if rows.size else []
-        except InputError:  # a width mismatch, which the first labeled row raises
-            self.global_t = base + int(rows[0])
-            raise
-        for i, error in zip(rows.tolist(), np.asarray(errors, dtype=np.int64).tolist()):
+    def _step(self, x, y, rows):
+        if not rows.size:  # predict refuses even zero rows of the wrong width
+            return None
+        errors = (self.classifier.predict(x[rows]) != y[rows]).astype(np.int64)
+        for i, error in zip(rows.tolist(), errors.tolist()):
             if ecdd_update(self.state, error)[1]:
-                stop = i + 1
-                self.detection = Detection(t_star=base + stop, m_star=None)
-                break
-        self.global_t = base + stop
-        if self.detection is None and stop < len(x):
-            if not whole[stop]:
-                raise InputError("class labels must be integers")
-            # the row's own error: knn and lda raise a width mismatch first
-            self.classifier.predict(x[stop:stop + 1])
-            raise InputError("features contain non-finite values")
-        return self.detection
+                return i, None
+        return None
+
+    def _refuse(self, row, label):
+        self.classifier.predict(row)  # raises: the width first, then a non-finite feature
+        raise InputError("features contain non-finite values")
 
     def report(self) -> dict:
         return {**super().report(), "n_labeled": self.state.n_seen, "statistic": self.state.u}

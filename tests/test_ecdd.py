@@ -323,6 +323,20 @@ def test_lda_affine_invariance():
     assert np.array_equal(plain, mapped)
 
 
+def test_lda_scores_a_row_alone_as_inside_a_chunk():
+    # a one-row product runs as a matrix-vector product: at d = 2, M = 4
+    # many rows scored that way differ in the last bit
+    rng = rng_from(8)
+    means = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0], [3.0, 3.0]])
+    y = np.repeat([1, 2, 3, 4], 100)
+    clf = fit_classifier("lda", means[y - 1] + rng.standard_normal((400, 2)), y)
+    chunk = rng.standard_normal((300, 2)) * 2.0 + 1.5
+    scores = clf._scores(chunk)
+    for row, expected in zip(chunk, scores):
+        assert clf._scores(row).tobytes() == expected.tobytes()
+    assert np.array_equal(clf.predict(chunk), [clf.predict(row)[0] for row in chunk])
+
+
 def test_lda_handles_degenerate_covariance():
     rng = rng_from(7)
     base = rng.standard_normal((100, 1))

@@ -148,9 +148,9 @@ def test_only_qt_ewma_steps_the_recursion():
     assert one_loop_offenders(package_sources()) == []
 
 
-# the per-row calls of a monitor: every monitor derives them from its own
-# process_batch through cdm.Monitor, the only class that defines them
-ONE_MONITOR = {"process", "process_unlabeled"}
+# the per-row calls and the chunk loop of a monitor: cdm.Monitor, the only
+# class that defines them, runs every monitor's own hooks
+ONE_MONITOR = {"process", "process_unlabeled", "process_batch"}
 
 
 def monitor_interface_offenders(sources: dict[str, str]) -> list[str]:
@@ -179,7 +179,7 @@ def test_detects_a_second_monitor_interface():
                        "class Alias:\n    process = print\n",
                "bench": "class Monitor:\n    async def process(self):\n        pass\n"}
     assert monitor_interface_offenders(sources) == [
-        "bench.Monitor", "ecdd.Alias", "ecdd.EcddMonitor"]
+        "bench.Monitor", "cdm.CdmMonitor", "ecdd.Alias", "ecdd.EcddMonitor"]
 
 
 def test_only_cdm_monitor_defines_the_per_row_calls():

@@ -130,6 +130,17 @@ def test_a_rejected_row_raises_at_its_own_row(method, fault, small_table):
 
 
 @pytest.mark.parametrize("method", METHODS)
+def test_a_labeled_row_of_another_width_is_refused_at_its_own_row(method, small_table):
+    # a chunk 3 wide: the unlabeled rows before the first labeled one pass
+    x, y, labeled = make_stream(method, 135, length=20, drift_at=10**6)
+    x = np.hstack([x, np.zeros((20, 1))])
+    labeled[:5] = [False, False, True, False, True]
+    rows, error = assert_chunks_match_rows(method, small_table, 4, x, y, labeled)
+    assert error is not None and "3" in error[1]
+    assert rows.global_t == 2 and rows.detection is None
+
+
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("label", [2.7, 1.9, np.nan, np.inf])
 def test_a_label_that_is_not_an_integer_is_rejected_at_its_row(method, label, small_table):
     # labeled row 12 is refused as class_labels refuses its label (it was
